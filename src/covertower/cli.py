@@ -54,10 +54,12 @@ from .genus_one import (
     mobius_from_rational_matrix,
 )
 from .io import (
+    _write_atomic,
     canonical_json_bytes,
     cycle_doc,
     load_doc,
     store_doc,
+    store_docs,
     subgroup_doc,
     subgroup_from_doc,
     tower_doc,
@@ -87,6 +89,11 @@ EXIT_BUDGET = 3
 EXIT_MATH = 4
 EXIT_OVERFLOW = 5
 EXIT_SCHEMA = 6
+
+
+class UsageError(CovertowerError):
+    """A command-line argument is outside the range its command accepts."""
+
 
 _MATH_ERRORS = (
     RelatorViolated,
@@ -237,15 +244,18 @@ def _point_out(p: UpperHalfPoint) -> dict:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.genus < 2:
+        raise UsageError("--genus must be at least 2")
+    if args.max_index < 1:
+        raise UsageError("--max-index must be at least 1")
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     pres = SurfacePresentation(args.genus)
     subs = low_index_subgroups(pres, args.max_index, cfg)
     counts: dict[str, int] = {}
-    files = []
     for sub in subs:
         counts[str(sub.index)] = counts.get(str(sub.index), 0) + 1
-        files.append(store_doc(root, subgroup_doc(sub)).name)
+    files = [p.name for p in store_docs(root, (subgroup_doc(s) for s in subs))]
     manifest = {
         "schema": "manifest/1",
         "kind": "enumerate",
@@ -256,7 +266,7 @@ def _cmd_enumerate(args) -> int:
         "files": sorted(files),
     }
     name = f"manifest-enumerate-g{args.genus}-i{args.max_index}.json"
-    (root / name).write_bytes(canonical_json_bytes(manifest))
+    _write_atomic(root / name, canonical_json_bytes(manifest))
     _emit(manifest)
     return EXIT_OK
 
@@ -329,7 +339,7 @@ def _cmd_tower_build(args) -> int:
     }
     if args.dot:
         dot_name = name[: -len(".json")] + ".dot"
-        (root / dot_name).write_bytes(tower_dot(tower).encode("utf-8"))
+        _write_atomic(root / dot_name, tower_dot(tower).encode("utf-8"))
         out["dot"] = dot_name
     _emit(out)
     return EXIT_OK
@@ -419,12 +429,11 @@ def _cmd_vaut_reduce(args) -> int:
         raise InconsistentInput(str(exc)) from exc
     cycle = reduce_cycle(path, args.order, cfg)
     vaut = from_two_arrow(cycle, cfg)
-    cycle_name = store_doc(root, cycle_doc(cycle)).name
-    vaut_name = store_doc(root, vaut_doc(vaut)).name
+    cycle_path, vaut_path = store_docs(root, [cycle_doc(cycle), vaut_doc(vaut)])
     _emit(
         {
-            "cycle": cycle_name,
-            "vaut": vaut_name,
+            "cycle": cycle_path.name,
+            "vaut": vaut_path.name,
             "domainIndex": vaut.domain.index,
         }
     )
@@ -583,6 +592,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        _diagnose(exc)
+        return EXIT_USAGE
     except BudgetExceeded as exc:
         _diagnose(exc)
         return EXIT_BUDGET

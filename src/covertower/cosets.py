@@ -16,7 +16,7 @@ comparison.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -51,7 +51,9 @@ class Subgroup:
     pres: Presentation
     table: tuple[tuple[int, ...], ...]
     basepoint: int = 0
-    canonical: bool = False
+    # A hint that the table is already in BFS-canonical form; it never
+    # takes part in equality or hashing.
+    canonical: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.table)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .chartower import (
     Automorphism,
@@ -342,27 +342,58 @@ def load_doc(path: Union[str, Path]) -> dict:
     return doc
 
 
-def store_doc(root: Path, doc: dict) -> Path:
-    """Write a document under its content hash and update the index."""
-    schema = doc.get("schema")
-    if schema not in SCHEMAS:
-        raise SchemaError(f"refusing to store unknown schema {schema!r}")
-    stem = schema.split("/")[0]
-    name = f"{stem}-{content_hash(doc)[:16]}.json"
-    path = root / name
-    path.write_bytes(canonical_json_bytes(doc))
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step: readers see old or new bytes.
+
+    The temporary file sits in the same directory, so ``os.replace`` is a
+    rename within one file system.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def store_docs(root: Path, docs: Iterable[dict]) -> list[Path]:
+    """Write documents under their content hashes; update the index once.
+
+    ``docs`` may be a generator, so a large batch need not be held in
+    memory at once.  If it raises partway, the index still lists exactly
+    the documents written so far, together with the entries it already had.
+    """
     index_path = root / INDEX_NAME
     entries = {}
     if index_path.exists():
-        index = load_doc(index_path)
-        for entry in index.get("entries", []):
+        for entry in load_doc(index_path).get("entries", []):
             entries[entry["file"]] = entry["schema"]
-    entries[name] = schema
-    index_doc = {
-        "schema": "workspace-index/1",
-        "entries": [
-            {"file": f, "schema": s} for f, s in sorted(entries.items())
-        ],
-    }
-    index_path.write_bytes(canonical_json_bytes(index_doc))
-    return path
+    paths: list[Path] = []
+    try:
+        for doc in docs:
+            schema = doc.get("schema")
+            if schema not in SCHEMAS:
+                raise SchemaError(f"refusing to store unknown schema {schema!r}")
+            data = canonical_json_bytes(doc)
+            stem = schema.split("/")[0]
+            name = f"{stem}-{hashlib.sha256(data).hexdigest()[:16]}.json"
+            path = root / name
+            _write_atomic(path, data)
+            entries[name] = schema
+            paths.append(path)
+    finally:
+        if paths:
+            index_doc = {
+                "schema": "workspace-index/1",
+                "entries": [
+                    {"file": f, "schema": s} for f, s in sorted(entries.items())
+                ],
+            }
+            _write_atomic(index_path, canonical_json_bytes(index_doc))
+    return paths
+
+
+def store_doc(root: Path, doc: dict) -> Path:
+    """Write one document under its content hash and update the index."""
+    return store_docs(root, [doc])[0]

@@ -213,6 +213,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--workspace", str(tmp_path), "genus1", "act", "--matrix", "1,2,3"])
     assert excinfo.value.code == 2
+    capsys.readouterr()
+    for genus, max_index in (("1", "2"), ("2", "0")):
+        code, out, err = _run(
+            capsys, "--workspace", str(tmp_path / "ws"), "enumerate",
+            "--genus", genus, "--max-index", max_index,
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "UsageError"
+    assert not (tmp_path / "ws").exists()
 
 
 def test_budget_exit_three(tmp_path, capsys):

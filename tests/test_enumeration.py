@@ -1,5 +1,7 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -17,12 +19,47 @@ def _counts(subs):
     return Counter(s.index for s in subs)
 
 
+def _partitions(n, cap=None):
+    if n == 0:
+        yield ()
+    for first in range(min(n, cap or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _character_degree(shape):
+    """Hook length formula for the irreducible character of S_n at ``shape``."""
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = prod(r - j + cols[j] - i - 1 for i, r in enumerate(shape) for j in range(r))
+    return factorial(sum(shape)) // hooks
+
+
+def _hom_count(genus, n):
+    """Frobenius-Mednykh: |Hom(pi_1 Sigma_g, S_n)| = (n!)^(2g-1) sum chi(1)^(2-2g)."""
+    total = sum(Fraction(1, _character_degree(p) ** (2 * genus - 2)) for p in _partitions(n))
+    return int(factorial(n) ** (2 * genus - 1) * total)
+
+
+def oracle_subgroup_counts(genus, max_index):
+    """Subgroups of each index <= max_index, by Hall's recurrence over hom counts."""
+    homs = [1] + [_hom_count(genus, n) for n in range(1, max_index + 1)]
+    transitive = [0] * (max_index + 1)
+    for n in range(1, max_index + 1):
+        transitive[n] = homs[n] - sum(
+            comb(n - 1, k - 1) * transitive[k] * homs[n - k] for k in range(1, n)
+        )
+    return {n: transitive[n] // factorial(n - 1) for n in range(1, max_index + 1)}
+
+
+def test_count_oracle_known_values():
+    assert [_hom_count(2, n) for n in (3, 4)] == [486, 34_176]
+    assert oracle_subgroup_counts(2, 4) == {1: 1, 2: 15, 3: 220, 4: 5_275}
+    assert oracle_subgroup_counts(3, 3) == {1: 1, 2: 63, 3: 7_924}
+
+
 def test_counts_genus_two(pres2):
-    subs = low_index_subgroups(pres2, 3)
-    counts = _counts(subs)
-    # The index-3 value is pinned by the transitive-homomorphism oracle in
-    # the acceptance suite; here it guards against regressions.
-    assert counts == {1: 1, 2: 15, 3: 220}
+    subs = low_index_subgroups(pres2, 4)
+    assert _counts(subs) == oracle_subgroup_counts(2, 4)
 
 
 def test_index_two_matches_sign_assignments(pres2):
@@ -37,8 +74,8 @@ def test_index_two_matches_sign_assignments(pres2):
 
 def test_counts_genus_three():
     pres = SurfacePresentation(3)
-    subs = low_index_subgroups(pres, 2)
-    assert _counts(subs) == {1: 1, 2: 2 ** 6 - 1}
+    subs = low_index_subgroups(pres, 3)
+    assert _counts(subs) == oracle_subgroup_counts(3, 3)
 
 
 def test_emitted_tables_are_canonical_and_unique(pres2):

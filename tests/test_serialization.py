@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from covertower import (
     load_doc,
     reduce_cycle,
     store_doc,
+    store_docs,
     subgroup_doc,
     subgroup_from_doc,
     tower_doc,
@@ -213,6 +215,85 @@ def test_store_doc_content_addressing(tmp_path, index_two_subgroups, tower):
 def test_store_doc_refuses_unknown_schema(tmp_path):
     with pytest.raises(SchemaError):
         store_doc(tmp_path, {"schema": "nope/1"})
+
+
+def _per_document_store(root, doc):
+    """Reference: the original read-modify-write of the index per document."""
+    stem = doc["schema"].split("/")[0]
+    name = f"{stem}-{content_hash(doc)[:16]}.json"
+    (root / name).write_bytes(canonical_json_bytes(doc))
+    index_path = root / "index.json"
+    entries = {}
+    if index_path.exists():
+        for entry in json.loads(index_path.read_bytes())["entries"]:
+            entries[entry["file"]] = entry["schema"]
+    entries[name] = doc["schema"]
+    index = {
+        "schema": "workspace-index/1",
+        "entries": [{"file": f, "schema": s} for f, s in sorted(entries.items())],
+    }
+    index_path.write_bytes(canonical_json_bytes(index))
+
+
+def _tree(root):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.iterdir())
+    }
+
+
+@pytest.mark.parametrize("case", ["fresh", "existing-index", "duplicate", "empty"])
+def test_store_docs_matches_per_document_store(tmp_path, case, index_two_subgroups, tower):
+    docs = [subgroup_doc(s) for s in index_two_subgroups[:5]] + [tower_doc(tower)]
+    seeded = [subgroup_doc(s) for s in index_two_subgroups[5:8]]
+    if case == "duplicate":
+        docs.insert(3, docs[1])
+    if case == "empty":
+        docs = []
+    trees = []
+    for label in ("reference", "single", "batch"):
+        root = tmp_path / label
+        root.mkdir()
+        if case == "existing-index":
+            for doc in seeded:
+                _per_document_store(root, doc)
+        if label == "reference":
+            for doc in docs:
+                _per_document_store(root, doc)
+        elif label == "single":
+            names = [store_doc(root, doc).name for doc in docs]
+        else:
+            batch = store_docs(root, (doc for doc in docs))
+            assert [p.name for p in batch] == names
+        trees.append(_tree(root))
+    assert trees[0] == trees[1] == trees[2]
+    assert not any(name.endswith(".tmp") for name in trees[2])
+    if case == "existing-index":
+        index = load_doc(tmp_path / "batch" / "index.json")
+        files = {entry["file"] for entry in index["entries"]}
+        assert len(files) == len(docs) + len(seeded)
+
+
+def test_store_docs_indexes_what_it_wrote_before_a_failure(tmp_path, index_two_subgroups):
+    docs = [subgroup_doc(s) for s in index_two_subgroups[:3]]
+
+    def failing():
+        yield from docs[:2]
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError):
+        store_docs(tmp_path, failing())
+    index = load_doc(tmp_path / "index.json")
+    listed = sorted(entry["file"] for entry in index["entries"])
+    on_disk = sorted(p.name for p in tmp_path.iterdir() if p.name != "index.json")
+    assert listed == on_disk
+    assert len(on_disk) == 2
+
+    with pytest.raises(SchemaError):
+        store_docs(tmp_path, [docs[2], {"schema": "nope/1"}])
+    index = load_doc(tmp_path / "index.json")
+    assert len(index["entries"]) == 3
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
 def test_workspace_dir(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from covertower import (
     NotNormal,
     NotTransitive,
     RelatorViolated,
+    Subgroup,
     SurfacePresentation,
     canonicalize,
     conjugate_subgroup,
@@ -63,6 +64,15 @@ def test_canonicalize_idempotent(pres2):
     for sub in low_index_subgroups(pres2, 3):
         again = canonicalize(sub)
         assert again == canonicalize(again)
+
+
+def test_equality_ignores_the_canonical_flag(pres2):
+    table = homology_cover(pres2, 3).subgroup.table
+    plain = Subgroup(pres2, table, 0, False)
+    flagged = Subgroup(pres2, table, 0, True)
+    assert plain == flagged
+    assert hash(plain) == hash(flagged)
+    assert len({plain, flagged}) == 1
 
 
 def test_covering_genus_and_schreier_counts(pres2, index_two_subgroups):
