@@ -243,14 +243,18 @@ def _point_out(p: UpperHalfPoint) -> dict:
 # Command handlers.
 
 
-def _cmd_enumerate(args) -> int:
-    if args.genus < 2:
+def _surface(genus: int) -> SurfacePresentation:
+    if genus < 2:
         raise UsageError("--genus must be at least 2")
+    return SurfacePresentation(genus)
+
+
+def _cmd_enumerate(args) -> int:
+    pres = _surface(args.genus)
     if args.max_index < 1:
         raise UsageError("--max-index must be at least 1")
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
-    pres = SurfacePresentation(args.genus)
     subs = low_index_subgroups(pres, args.max_index, cfg)
     counts: dict[str, int] = {}
     for sub in subs:
@@ -292,9 +296,11 @@ def _cmd_char_core(args) -> int:
 
 
 def _cmd_char_homology(args) -> int:
+    pres = _surface(args.genus)
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
-    pres = SurfacePresentation(args.genus)
     cover = homology_cover(pres, args.n, cfg)
     name = _store_char(root, cover)
     _emit(
@@ -319,9 +325,9 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_tower_build(args) -> int:
+    pres = _surface(args.genus)
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
-    pres = SurfacePresentation(args.genus)
     steps = []
     for step in args.step or []:
         if step["kind"] == "subgroup-file":
@@ -468,6 +474,8 @@ def _cmd_genus1_act(args) -> int:
 
 
 def _cmd_genus1_orbit(args) -> int:
+    if args.eps <= 0:
+        raise UsageError("--eps must be positive")
     source = args.source if args.source is not None else i_point()
     m = dense_orbit_approx(source, args.target, args.eps)
     image = act(m, source)

@@ -118,8 +118,10 @@ class Subgroup:
         return self.inverse_table[c][-letter - 1]
 
     def act_word(self, c: int, w: Iterable[int]) -> int:
+        table = self.table
+        inverse_table = self.inverse_table
         for x in w:
-            c = self.act_letter(c, x)
+            c = table[c][x - 1] if x > 0 else inverse_table[c][-x - 1]
         return c
 
 
@@ -308,10 +310,9 @@ def rewrite_from(system: SchreierSystem, start: int, w: Iterable[int]) -> tuple[
 def rewrite_in_schreier_generators(sub: Subgroup, w: Iterable[int]) -> Word:
     w = validate_word(sub.pres, w)
     system = schreier_system(canonicalize(sub))
-    if not contains(system.sub, w):
-        raise ValueError("word is not in the subgroup")
     rewritten, end = rewrite_from(system, 0, w)
-    assert end == 0
+    if end != 0:
+        raise ValueError("word is not in the subgroup")
     return rewritten
 
 
@@ -352,7 +353,11 @@ def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
 
 
 def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subgroup:
-    """Intersection via the orbit of (basepoint, basepoint) in the product action."""
+    """Intersection via the orbit of (basepoint, basepoint) in the product action.
+
+    The BFS labels pairs in the canonical alphabet order, so the table it
+    builds is already canonical.
+    """
     if a.pres != b.pres:
         raise ValueError("subgroups of different presentations")
     k = a.pres.generator_count
@@ -377,7 +382,7 @@ def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subg
         tuple(label[(a.table[ca][j], b.table[cb][j])] for j in range(k))
         for ca, cb in order
     )
-    return canonicalize(Subgroup(a.pres, table, 0))
+    return Subgroup(a.pres, table, 0, True)
 
 
 def conjugate_subgroup(sub: Subgroup, w: Iterable[int]) -> Subgroup:

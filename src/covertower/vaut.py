@@ -102,25 +102,18 @@ def _f2_rank(vectors: Iterable[int]) -> int:
     return rank
 
 
-def _pack(bits: Sequence[int]) -> int:
+def _exponent_row_mod2(w: Iterable[int]) -> int:
+    """Exponent sums of ``w`` mod 2, bit i for generator i+1."""
     out = 0
-    for i, b in enumerate(bits):
-        if b % 2:
-            out |= 1 << i
-    return out
-
-
-def _exponent_row_mod2(m: int, w: Iterable[int]) -> int:
-    bits = [0] * m
     for x in w:
-        bits[abs(x) - 1] ^= 1
-    return _pack(bits)
+        out ^= 1 << (abs(x) - 1)
+    return out
 
 
 def _h1_mod2(sub: Subgroup) -> tuple[int, list[int]]:
     """(#Schreier generators, relator exponent rows mod 2) for a cover."""
     pres = reidemeister_schreier(sub)
-    rows = [_exponent_row_mod2(pres.generator_count, r) for r in pres.relators]
+    rows = [_exponent_row_mod2(r) for r in pres.relators]
     return pres.generator_count, rows
 
 
@@ -142,7 +135,7 @@ def generation_certified(target: Subgroup, images: Sequence[Word]) -> bool:
     assert h1_dim % 2 == 0, "covers of surfaces have even first Betti number"
     genus = h1_dim // 2
     img_rows = [
-        _exponent_row_mod2(m, rewrite_in_schreier_generators(target, w))
+        _exponent_row_mod2(rewrite_in_schreier_generators(target, w))
         for w in images
     ]
     span = _f2_rank(rel_rows + img_rows) - rel_rank
@@ -339,39 +332,32 @@ def germ_equals(
 
 
 def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
-    """{h in domain : v(h) in s}, as a subgroup of the ambient group."""
+    """{h in domain : v(h) in s}, as a subgroup of the ambient group.
+
+    The domain's Schreier generators act on the cosets of ``s`` through
+    their images, and the preimage is the stabilizer of the basepoint.
+    Only the basepoint's orbit is walked, tracing each image word once
+    from each coset reached (a Schreier-vector orbit computation); the
+    orbit is finite, so closure under the images gives closure under
+    their inverses.
+    """
     dom = canonicalize(v.domain)
     s = canonicalize(s)
     if s.pres != dom.pres:
         raise ValueError("target subgroup over a different presentation")
-    perms = [tuple(s.act_word(c, img) for c in range(s.index)) for img in v.images]
-    inv_perms = []
-    for p in perms:
-        q = [0] * len(p)
-        for i, x in enumerate(p):
-            q[x] = i
-        inv_perms.append(tuple(q))
-    start = s.basepoint
-    label = {start: 0}
-    order = [start]
-    queue = [start]
-    while queue:
-        c = queue.pop(0)
-        for p in perms:
-            for d in (p[c],):
-                if d not in label:
-                    label[d] = len(order)
-                    order.append(d)
-                    queue.append(d)
-        for p in inv_perms:
-            if p[c] not in label:
-                label[p[c]] = len(order)
-                order.append(p[c])
-                queue.append(p[c])
-    table = tuple(
-        tuple(label[perms[i][c]] for i in range(len(perms))) for c in order
-    )
-    rel = canonicalize(Subgroup(reidemeister_schreier(dom), table, 0))
+    label = {s.basepoint: 0}
+    order = [s.basepoint]
+    table = []
+    for c in order:  # grows while it is walked
+        row = []
+        for img in v.images:
+            d = s.act_word(c, img)
+            if d not in label:
+                label[d] = len(order)
+                order.append(d)
+            row.append(label[d])
+        table.append(tuple(row))
+    rel = canonicalize(Subgroup(reidemeister_schreier(dom), tuple(table), 0))
     return flatten_cover_subgroup(dom, rel)
 
 

@@ -222,6 +222,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "UsageError"
+    for argv in (
+        ("char", "homology", "--genus", "2", "--n", "0"),
+        ("char", "homology", "--genus", "1", "--n", "2"),
+        ("tower", "build", "--genus", "1", "--step", "homology:2"),
+        ("genus1", "orbit", "--target", "1+2i", "--eps", "0"),
+    ):
+        code, out, err = _run(capsys, "--workspace", str(tmp_path / "ws"), *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "UsageError"
     assert not (tmp_path / "ws").exists()
 
 

@@ -30,6 +30,7 @@ from covertower import (
     make_subgroup,
     reidemeister_schreier,
     restrict_to_cover,
+    rewrite_in_schreier_generators,
     schreier_generators,
     twisted_subgroup,
 )
@@ -179,6 +180,41 @@ def test_intersection_properties(pres2, index_two_subgroups):
     left = intersect(intersect(a, b), c)
     right = intersect(a, intersect(b, c))
     assert canonicalize(left) == canonicalize(right)
+
+
+def test_intersection_table_is_built_canonical(pres2):
+    # intersect returns its BFS table as-is, so that table must already be
+    # what canonicalize makes of it, whatever the inputs' basepoints.
+    rng = random.Random(23)
+    pool = low_index_subgroups(pres2, 3)
+    for _ in range(300):
+        a, b = (
+            Subgroup(pres2, s.table, rng.randrange(s.index))
+            for s in rng.sample(pool, 2)
+        )
+        inter = intersect(a, b)
+        assert inter.basepoint == 0
+        assert inter.table == canonicalize(Subgroup(pres2, inter.table, 0)).table
+
+
+def test_rewrite_in_schreier_generators(pres2, index_two_subgroups):
+    rng = random.Random(29)
+    sub = intersect(index_two_subgroups[0], index_two_subgroups[1])
+    system = schreier_system(sub)
+    members = nonmembers = 0
+    for _ in range(200):
+        w = _random_word(rng, 4, 12)
+        if contains(sub, w):
+            members += 1
+            rewritten = rewrite_in_schreier_generators(sub, w)
+            assert evaluate_schreier_word(system, rewritten) == w
+        else:
+            nonmembers += 1
+            with pytest.raises(ValueError):
+                rewrite_in_schreier_generators(sub, w)
+    assert members and nonmembers
+    with pytest.raises(ValueError):
+        rewrite_in_schreier_generators(sub, (5,))
 
 
 def test_factor_through(pres2, index_two_subgroups):

@@ -4,6 +4,7 @@ import pytest
 
 from covertower import (
     IdentificationInvalid,
+    Subgroup,
     NotInvertible,
     NotRestrictable,
     SurfacePresentation,
@@ -32,11 +33,14 @@ from covertower import (
     rebase_back,
     rebase_vaut,
     reduce_cycle,
+    reidemeister_schreier,
     schreier_generators,
     validate_vaut,
     vaut_from_automorphism,
     words_equal,
 )
+from covertower.cosets import flatten_cover_subgroup
+from covertower.vaut import _exponent_row_mod2
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,87 @@ def test_preimage_respects_membership(pres, h1, h2):
     gens = schreier_generators(pre)
     for g in gens[:12]:
         assert contains(target, apply_vaut(v, g))
+
+
+def _preimage_by_full_permutations(v, s):
+    """Reference preimage: every image permutes every coset of s, and the
+    basepoint's orbit is found under the images and their inverses."""
+    dom = canonicalize(v.domain)
+    s = canonicalize(s)
+    perms = [tuple(s.act_word(c, img) for c in range(s.index)) for img in v.images]
+    inv_perms = []
+    for p in perms:
+        q = [0] * len(p)
+        for i, x in enumerate(p):
+            q[x] = i
+        inv_perms.append(q)
+    label = {s.basepoint: 0}
+    order = [s.basepoint]
+    for c in order:
+        for p in perms + inv_perms:
+            if p[c] not in label:
+                label[p[c]] = len(order)
+                order.append(p[c])
+    table = tuple(tuple(label[p[c]] for p in perms) for c in order)
+    rel = canonicalize(Subgroup(reidemeister_schreier(dom), table, 0))
+    return flatten_cover_subgroup(dom, rel)
+
+
+@pytest.fixture(scope="module")
+def mod4_cover(pres):
+    return homology_cover(pres, 4).subgroup
+
+
+def test_preimage_matches_full_permutation_oracle(pres, index_two_subgroups):
+    phi = handle_swap(pres)
+    nontrivial_orbits = 0
+    for h in index_two_subgroups:
+        v = vaut_from_automorphism(phi, h)
+        for k in index_two_subgroups:
+            target = intersect(v.codomain, k)
+            pre = preimage_subgroup(v, target)
+            assert pre == _preimage_by_full_permutations(v, target)
+            nontrivial_orbits += pre.index > h.index
+    assert nontrivial_orbits
+
+
+def test_preimage_matches_oracle_on_mod_four_cover(pres, mod4_cover, h1):
+    v = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    for target in (mod4_cover, h1):
+        assert preimage_subgroup(v, target) == _preimage_by_full_permutations(
+            v, target
+        )
+
+
+def test_preimage_walks_only_the_basepoint_orbit(pres, mod4_cover, monkeypatch):
+    # The codomain contains every image, so the orbit is the basepoint
+    # alone: one trace per image, not one per image and coset.
+    v = identity_vaut(mod4_cover)
+    calls = 0
+    act_word = Subgroup.act_word
+
+    def counted(self, c, w):
+        nonlocal calls
+        calls += 1
+        return act_word(self, c, w)
+
+    monkeypatch.setattr(Subgroup, "act_word", counted)
+    assert preimage_subgroup(v, v.codomain) == mod4_cover
+    assert mod4_cover.index == 256
+    assert calls == len(v.images)
+
+
+def test_exponent_row_mod2_is_parity_count():
+    rng = random.Random(31)
+    for _ in range(200):
+        m = rng.randint(1, 40)
+        w = [rng.choice((1, -1)) * rng.randint(1, m) for _ in range(rng.randint(0, 30))]
+        naive = sum(
+            1 << i
+            for i in range(m)
+            if sum(1 for x in w if abs(x) == i + 1) % 2
+        )
+        assert _exponent_row_mod2(w) == naive
 
 
 def test_compose_with_inverse_is_identity_germ(pres, h1):
