@@ -16,7 +16,7 @@ by quantifying over the full automorphism group:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -32,9 +32,9 @@ from .cosets import (
     intersect,
     is_normal,
     is_subgroup_of,
-    reidemeister_schreier,
     restrict_to_cover,
     schreier_generators,
+    _orbit_table,
     _perm_mul,
 )
 from .enumerate import low_index_subgroups
@@ -45,16 +45,15 @@ from .errors import (
     NotInvariant,
 )
 from .words import (
-    GenericPresentation,
     Presentation,
     SurfacePresentation,
     Word,
     commutator_word,
     concat,
     conjugate_word,
-    free_reduce,
     inverse_word,
     is_identity,
+    substitute,
     validate_word,
 )
 
@@ -101,11 +100,7 @@ def apply_automorphism(phi: Automorphism, w: Iterable[int], inverse: bool = Fals
     images = phi.inverse_images if inverse else phi.images
     if images is None:
         raise ValueError("automorphism has no inverse images")
-    out: list[int] = []
-    for x in w:
-        img = images[abs(x) - 1]
-        out.extend(img if x > 0 else inverse_word(img))
-    return free_reduce(out)
+    return substitute(images, w)
 
 
 def check_automorphism(phi: Automorphism) -> None:
@@ -249,24 +244,23 @@ def hom_enumeration(
 def kernel_subgroup(pres: Presentation, assignment: Sequence[tuple[int, ...]]) -> Subgroup:
     """Kernel of the homomorphism as a coset table (the regular image action)."""
     n = len(assignment[0]) if assignment else 1
-    k = pres.generator_count
     gens = [tuple(p) for p in assignment]
-    identity = tuple(range(n))
-    elements = [identity]
-    index_of = {identity: 0}
-    queue = [identity]
-    while queue:
-        e = queue.pop(0)
-        for gperm in gens:
-            f = _perm_mul(e, gperm)
-            if f not in index_of:
-                index_of[f] = len(elements)
-                elements.append(f)
-                queue.append(f)
-    table = tuple(
-        tuple(index_of[_perm_mul(e, gens[j])] for j in range(k)) for e in elements
+    inverses = [_perm_inverse(p) for p in gens]
+    return _orbit_table(
+        pres,
+        tuple(range(n)),
+        lambda e, x: _perm_mul(e, gens[x - 1] if x > 0 else inverses[-x - 1]),
     )
-    return canonicalize(Subgroup(pres, table, 0))
+
+
+def _hom_kernel_core(pres: Presentation, n: int, cfg: RunConfig) -> Subgroup:
+    """Intersection of the kernels of every homomorphism to Sym(n)."""
+    core = full_subgroup(pres)
+    for assignment in hom_enumeration(pres, n, cfg):
+        ker = kernel_subgroup(pres, assignment)
+        if not is_subgroup_of(core, ker):
+            core = intersect(core, ker, max_index=cfg.max_result_index)
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +306,7 @@ def char_core(sub: Subgroup, config: Optional[RunConfig] = None) -> CharSubgroup
     cfg = config or DEFAULT_CONFIG
     sub = canonicalize(sub)
     n = sub.index
-    homs = hom_enumeration(sub.pres, n, cfg)
-    core = full_subgroup(sub.pres)
-    for assignment in homs:
-        ker = kernel_subgroup(sub.pres, assignment)
-        if is_subgroup_of(core, ker):
-            continue
-        core = intersect(core, ker, max_index=cfg.max_result_index)
+    core = _hom_kernel_core(sub.pres, n, cfg)
     assert is_subgroup_of(core, sub), "core must land inside the input"
     assert is_normal(core)
     return CharSubgroup(core, CharCertificate("hom-kernel-intersection", level=n))
@@ -343,15 +331,15 @@ def homology_cover(
         raise IndexOverflow(
             f"homology cover index {size} above cap {cfg.max_result_index}"
         )
+    # Vectors of (Z/n)^k are encoded in base n; letter +-j adds +-1 to digit j.
     powers = [n**j for j in range(k)]
-    rows = []
-    for c in range(size):
-        row = []
-        for j in range(k):
-            digit = (c // powers[j]) % n
-            row.append(c + (((digit + 1) % n) - digit) * powers[j])
-        rows.append(tuple(row))
-    sub = canonicalize(Subgroup(pres, tuple(rows), 0))
+
+    def step(c: int, x: int) -> int:
+        p = powers[abs(x) - 1]
+        digit = (c // p) % n
+        return c + ((digit + (1 if x > 0 else -1)) % n - digit) * p
+
+    sub = _orbit_table(pres, 0, step)
     return CharSubgroup(sub, CharCertificate("homology-level", level=n))
 
 
@@ -428,13 +416,7 @@ def char_core_within(
         raise InconsistentInput("inner subgroup is not contained in the ambient cover")
     rel = restrict_to_cover(inner, amb)
     n_rel = rel.index
-    homs = hom_enumeration(rel.pres, n_rel, cfg)
-    core = full_subgroup(rel.pres)
-    for assignment in homs:
-        ker = kernel_subgroup(rel.pres, assignment)
-        if is_subgroup_of(core, ker):
-            continue
-        core = intersect(core, ker, max_index=cfg.max_result_index)
+    core = _hom_kernel_core(rel.pres, n_rel, cfg)
     assert is_subgroup_of(core, rel)
     assert is_normal(core)
     absolute = flatten_cover_subgroup(amb, core)
@@ -534,14 +516,7 @@ def verify_certificate(
             return False
         return sub == homology_cover(sub.pres, cert.level or 1, cfg).subgroup
     if cert.kind == "hom-kernel-intersection":
-        homs = hom_enumeration(sub.pres, cert.level or 1, cfg)
-        core = full_subgroup(sub.pres)
-        for assignment in homs:
-            ker = kernel_subgroup(sub.pres, assignment)
-            if is_subgroup_of(core, ker):
-                continue
-            core = intersect(core, ker, max_index=cfg.max_result_index)
-        return core == sub
+        return _hom_kernel_core(sub.pres, cert.level or 1, cfg) == sub
     if cert.kind == "intersection":
         if len(cert.parents) != 2:
             return False

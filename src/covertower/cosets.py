@@ -11,6 +11,12 @@ basepoint, scanning each coset's neighbours in the fixed alphabet order
 x1, x1^-1, x2, x2^-1, ...  Two coset tables describe the same subgroup iff
 their canonical forms are identical, which makes subgroup equality a tuple
 comparison.
+
+Every table-building orbit walk (canonical form, intersection,
+conjugation, tables from permutations, flattening a relative table, and
+the kernel and homology tables of ``chartower``) goes through one
+primitive, ``_orbit_table``: it labels the orbit of a start state in that
+same BFS order, so the table it returns is canonical by construction.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import (
+    IndexOverflow,
     IntersectionIndexOverflow,
     NotNormal,
     NotTransitive,
@@ -130,19 +137,52 @@ def full_subgroup(pres: Presentation) -> Subgroup:
     return Subgroup(pres, ((0,) * k,), 0, True)
 
 
+def _orbit_table(
+    pres: Presentation,
+    start: Hashable,
+    step: Callable[[Hashable, int], Hashable],
+    max_index: Optional[int] = None,
+) -> Subgroup:
+    """Canonical coset table of the orbit of ``start`` under ``step``.
+
+    ``step(state, letter)`` is the action of a signed generator letter; the
+    letters of a generator and its inverse must act as inverse permutations
+    of the orbit.  States are labelled in BFS order over the alphabet
+    x1, x1^-1, x2, ..., which is the canonical order, and each row is
+    recorded as its state is walked.  Past ``max_index`` states
+    IndexOverflow is raised.
+    """
+    alphabet = _alphabet(pres.generator_count)
+    label = {start: 0}
+    order = [start]
+    rows = []
+    for state in order:  # grows while it is walked
+        row = []
+        for letter in alphabet:
+            nxt = step(state, letter)
+            d = label.get(nxt)
+            if d is None:
+                if max_index is not None and len(order) >= max_index:
+                    raise IndexOverflow(f"orbit exceeds index cap {max_index}")
+                d = label[nxt] = len(order)
+                order.append(nxt)
+            if letter > 0:
+                row.append(d)
+        rows.append(tuple(row))
+    return Subgroup(pres, tuple(rows), 0, True)
+
+
 def make_subgroup(
     pres: Presentation,
     perms: Sequence[Sequence[int]],
     basepoint: int = 0,
-    restrict_to_orbit: bool = False,
 ) -> Subgroup:
     """Build a subgroup from one permutation per generator.
 
     Each entry of ``perms`` is the forward action of one generator on the
     points 0..n-1.  The stabilizer of ``basepoint`` is the subgroup being
-    described.  With ``restrict_to_orbit`` the action is first cut down to
-    the basepoint's orbit; otherwise a non-transitive action raises
-    NotTransitive.  Relator violations raise RelatorViolated.
+    described.  Relator violations on the basepoint's orbit raise
+    RelatorViolated; an orbit smaller than n raises NotTransitive.
     """
     k = pres.generator_count
     if len(perms) != k:
@@ -155,54 +195,27 @@ def make_subgroup(
             raise ValueError("not a permutation of 0..n-1")
     if not (0 <= basepoint < n):
         raise ValueError("basepoint out of range")
-    if restrict_to_orbit:
-        inv = [[0] * n for _ in range(k)]
-        for j in range(k):
-            for c in range(n):
-                inv[j][perms[j][c]] = c
-        seen = {basepoint}
-        queue = deque([basepoint])
-        while queue:
-            c = queue.popleft()
-            for j in range(k):
-                for d in (perms[j][c], inv[j][c]):
-                    if d not in seen:
-                        seen.add(d)
-                        queue.append(d)
-        points = sorted(seen)
-        relabel = {p: i for i, p in enumerate(points)}
-        table = tuple(
-            tuple(relabel[perms[j][p]] for j in range(k)) for p in points
+    inverses = [[0] * n for _ in range(k)]
+    for p, inv in zip(perms, inverses):
+        for c in range(n):
+            inv[p[c]] = c
+    sub = _orbit_table(
+        pres,
+        basepoint,
+        lambda c, x: perms[x - 1][c] if x > 0 else inverses[-x - 1][c],
+    )
+    if sub.index != n:
+        raise NotTransitive(
+            f"only {sub.index} of {n} cosets reachable from basepoint"
         )
-        sub = Subgroup(pres, table, relabel[basepoint])
-    else:
-        table = tuple(tuple(perms[j][c] for j in range(k)) for c in range(n))
-        sub = Subgroup(pres, table, basepoint)
-    return canonicalize(sub)
+    return sub
 
 
 def canonicalize(sub: Subgroup) -> Subgroup:
     """Relabel cosets by BFS from the basepoint; idempotent."""
     if sub.canonical and sub.basepoint == 0:
         return sub
-    n = sub.index
-    alphabet = _alphabet(sub.pres.generator_count)
-    order: list[int] = [sub.basepoint]
-    label = {sub.basepoint: 0}
-    queue = deque([sub.basepoint])
-    while queue:
-        c = queue.popleft()
-        for letter in alphabet:
-            d = sub.act_letter(c, letter)
-            if d not in label:
-                label[d] = len(order)
-                order.append(d)
-                queue.append(d)
-    k = sub.pres.generator_count
-    table = tuple(
-        tuple(label[sub.table[old][j]] for j in range(k)) for old in order
-    )
-    return Subgroup(sub.pres, table, 0, True)
+    return _orbit_table(sub.pres, sub.basepoint, sub.act_letter)
 
 
 def contains(sub: Subgroup, w: Iterable[int]) -> bool:
@@ -231,12 +244,8 @@ class SchreierSystem:
     edges: tuple[tuple[int, int], ...]  # non-tree (coset, generator) pairs
     generators: tuple[Word, ...]  # one word per non-tree edge, in BFS order
 
-    @property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return self._edge_index
-
     @cached_property
-    def _edge_index(self) -> dict[tuple[int, int], int]:
+    def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
 
@@ -332,15 +341,6 @@ def reidemeister_schreier(sub: Subgroup) -> GenericPresentation:
     return GenericPresentation(len(system.generators), tuple(relators))
 
 
-def evaluate_schreier_word(system: SchreierSystem, w: Iterable[int]) -> Word:
-    """Expand a word over Schreier generator indices into ambient letters."""
-    out: list[int] = []
-    for x in w:
-        g = system.generators[abs(x) - 1]
-        out.extend(g if x > 0 else inverse_word(g))
-    return free_reduce(out)
-
-
 # ---------------------------------------------------------------------------
 # Order structure: containment, intersection, conjugation, arrows.
 
@@ -353,43 +353,27 @@ def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
 
 
 def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subgroup:
-    """Intersection via the orbit of (basepoint, basepoint) in the product action.
-
-    The BFS labels pairs in the canonical alphabet order, so the table it
-    builds is already canonical.
-    """
+    """Intersection: the orbit of (basepoint, basepoint) in the product action."""
     if a.pres != b.pres:
         raise ValueError("subgroups of different presentations")
-    k = a.pres.generator_count
-    alphabet = _alphabet(k)
-    start = (a.basepoint, b.basepoint)
-    label = {start: 0}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        ca, cb = queue.popleft()
-        for letter in alphabet:
-            pair = (a.act_letter(ca, letter), b.act_letter(cb, letter))
-            if pair not in label:
-                if max_index is not None and len(order) >= max_index:
-                    raise IntersectionIndexOverflow(
-                        f"intersection exceeds index cap {max_index}"
-                    )
-                label[pair] = len(order)
-                order.append(pair)
-                queue.append(pair)
-    table = tuple(
-        tuple(label[(a.table[ca][j], b.table[cb][j])] for j in range(k))
-        for ca, cb in order
-    )
-    return Subgroup(a.pres, table, 0, True)
+    try:
+        return _orbit_table(
+            a.pres,
+            (a.basepoint, b.basepoint),
+            lambda p, x: (a.act_letter(p[0], x), b.act_letter(p[1], x)),
+            max_index,
+        )
+    except IndexOverflow:
+        raise IntersectionIndexOverflow(
+            f"intersection exceeds index cap {max_index}"
+        ) from None
 
 
 def conjugate_subgroup(sub: Subgroup, w: Iterable[int]) -> Subgroup:
     """The conjugate w H w^-1 (same table, basepoint moved along w^-1)."""
     w = validate_word(sub.pres, w)
     new_base = sub.act_word(sub.basepoint, inverse_word(w))
-    return canonicalize(Subgroup(sub.pres, sub.table, new_base))
+    return _orbit_table(sub.pres, new_base, sub.act_letter)
 
 
 def is_normal(sub: Subgroup) -> bool:
@@ -472,39 +456,18 @@ def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
     system = schreier_system(outer)
     if relative.pres.generator_count != len(system.generators):
         raise ValueError("relative table does not match the cover's generators")
-    k = outer.pres.generator_count
     idx = system.edge_index
-    start = (0, relative.basepoint)
-    label = {start: 0}
-    order = [start]
-    queue = deque([start])
 
-    def step(d: int, e: int, letter: int) -> tuple[int, int]:
-        if letter > 0:
-            edge = (d, letter)
-            nd = outer.act_letter(d, letter)
-            if edge in idx:
-                e = relative.act_letter(e, idx[edge] + 1)
-        else:
-            nd = outer.act_letter(d, letter)
-            edge = (nd, -letter)
-            if edge in idx:
-                e = relative.act_letter(e, -(idx[edge] + 1))
+    def step(state: tuple[int, int], letter: int) -> tuple[int, int]:
+        d, e = state
+        nd = outer.act_letter(d, letter)
+        edge = (d, letter) if letter > 0 else (nd, -letter)
+        if edge in idx:
+            gen = idx[edge] + 1
+            e = relative.act_letter(e, gen if letter > 0 else -gen)
         return nd, e
 
-    alphabet = _alphabet(k)
-    while queue:
-        d, e = queue.popleft()
-        for letter in alphabet:
-            pair = step(d, e, letter)
-            if pair not in label:
-                label[pair] = len(order)
-                order.append(pair)
-                queue.append(pair)
-    table = tuple(
-        tuple(label[step(d, e, j)] for j in range(1, k + 1)) for d, e in order
-    )
-    return canonicalize(Subgroup(outer.pres, table, 0))
+    return _orbit_table(outer.pres, (0, relative.basepoint), step)
 
 
 def twisted_subgroup(sub: Subgroup, generator_words: Sequence[Word]) -> Subgroup:

@@ -168,8 +168,11 @@ def subgroup_from_doc(doc: dict) -> Subgroup:
         rows.append(tuple(row))
     if len(rows) != index:
         raise SchemaError("declared index does not match the table")
-    sub = canonicalize(Subgroup(pres, tuple(rows), basepoint))
-    return sub
+    try:
+        sub = Subgroup(pres, tuple(rows), basepoint)
+    except ValueError as exc:
+        raise SchemaError(f"bad coset table: {exc}") from exc
+    return canonicalize(sub)
 
 
 def char_subgroup_from_doc(doc: dict) -> CharSubgroup:

@@ -25,11 +25,9 @@ from typing import Iterable, Optional, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import (
     CoveringArrow,
-    SchreierSystem,
     Subgroup,
     canonicalize,
     contains,
-    evaluate_schreier_word,
     factor_through,
     flatten_cover_subgroup,
     full_subgroup,
@@ -40,6 +38,7 @@ from .cosets import (
     rewrite_in_schreier_generators,
     schreier_generators,
     schreier_system,
+    twisted_subgroup,
 )
 from .chartower import Automorphism, CharSubgroup, apply_automorphism
 from .errors import (
@@ -50,11 +49,11 @@ from .errors import (
     NotRestrictable,
 )
 from .words import (
-    GenericPresentation,
     SurfacePresentation,
     Word,
     free_reduce,
     inverse_word,
+    substitute,
     words_equal,
 )
 
@@ -157,26 +156,18 @@ def _base_context(v: VirtualAutomorphism, cover: Optional[Subgroup]):
     if not isinstance(cover.pres, SurfacePresentation):
         raise ValueError("cover must live over a surface presentation")
     system = schreier_system(cover)
-    return cover.pres, lambda w: evaluate_schreier_word(system, w)
-
-
-def _substitute(images: Sequence[Word], word_over_indices: Iterable[int]) -> Word:
-    out: list[int] = []
-    for x in word_over_indices:
-        img = images[abs(x) - 1]
-        out.extend(img if x > 0 else inverse_word(img))
-    return free_reduce(out)
+    return cover.pres, lambda w: substitute(system.generators, w)
 
 
 def apply_vaut(v: VirtualAutomorphism, w: Iterable[int]) -> Word:
     """Image of a domain element: rewrite in Schreier generators, substitute."""
-    return _substitute(v.images, rewrite_in_schreier_generators(v.domain, w))
+    return substitute(v.images, rewrite_in_schreier_generators(v.domain, w))
 
 
 def apply_vaut_inverse(v: VirtualAutomorphism, w: Iterable[int]) -> Word:
     if v.inverse_images is None:
         raise NotInvertible("no inverse witnesses attached")
-    return _substitute(
+    return substitute(
         v.inverse_images, rewrite_in_schreier_generators(v.codomain, w)
     )
 
@@ -204,7 +195,7 @@ def validate_vaut(
             raise IdentificationInvalid("an image leaves the codomain")
     rs = reidemeister_schreier(dom)
     for r in rs.relators:
-        if not words_equal(base, to_base(_substitute(v.images, r)), ()):
+        if not words_equal(base, to_base(substitute(v.images, r)), ()):
             raise IdentificationInvalid("images violate a rewritten relator")
     if not generation_certified(cod, v.images):
         raise IdentificationInvalid("images are not certified to generate the codomain")
@@ -216,14 +207,14 @@ def validate_vaut(
             if not contains(dom, w):
                 raise IdentificationInvalid("an inverse witness leaves the domain")
         for s in gens:
-            back = _substitute(
-                v.inverse_images, rewrite_in_schreier_generators(cod, _substitute(v.images, rewrite_in_schreier_generators(dom, s)))
+            back = substitute(
+                v.inverse_images, rewrite_in_schreier_generators(cod, substitute(v.images, rewrite_in_schreier_generators(dom, s)))
             )
             if not words_equal(base, to_base(back), to_base(s)):
                 raise IdentificationInvalid("inverse witnesses do not undo the map")
         for t in cogens:
-            forth = _substitute(
-                v.images, rewrite_in_schreier_generators(dom, _substitute(v.inverse_images, rewrite_in_schreier_generators(cod, t)))
+            forth = substitute(
+                v.images, rewrite_in_schreier_generators(dom, substitute(v.inverse_images, rewrite_in_schreier_generators(cod, t)))
             )
             if not words_equal(base, to_base(forth), to_base(t)):
                 raise IdentificationInvalid("the map does not undo its inverse witnesses")
@@ -275,8 +266,6 @@ def from_two_arrow(
     v = VirtualAutomorphism(alpha, beta, cycle.forward, cycle.backward)
     try:
         validate_vaut(v, cfg)
-    except IdentificationInvalid:
-        raise
     except (ValueError, KeyError) as exc:
         raise IdentificationInvalid(str(exc)) from exc
     return v
@@ -286,8 +275,6 @@ def vaut_from_automorphism(
     phi: Automorphism, domain: Subgroup, config: Optional[RunConfig] = None
 ) -> VirtualAutomorphism:
     """Restrict a verified ambient automorphism to a finite-index subgroup."""
-    from .cosets import twisted_subgroup
-
     if not phi.verified:
         raise ValueError("automorphism must carry verified inverse images")
     domain = canonicalize(domain)
@@ -402,7 +389,7 @@ def inverse(
                 val = free_reduce(value + img)
                 for t_i, t in enumerate(targets):
                     if solved[t_i] is None and words_equal(pres, val, t):
-                        witness = _substitute(
+                        witness = substitute(
                             [dom_gens[i] for i in range(m)], word
                         )
                         solved[t_i] = witness
@@ -620,12 +607,12 @@ def rebase_vaut(
     rel_cod = restrict_to_cover(image, cover)
     images = []
     for gen in schreier_generators(rel_dom):
-        base_word = evaluate_schreier_word(system, gen)
+        base_word = substitute(system.generators, gen)
         img = apply_vaut(v, base_word)
         images.append(rewrite_in_schreier_generators(cover, img))
     inverse_images = []
     for gen in schreier_generators(rel_cod):
-        base_word = evaluate_schreier_word(system, gen)
+        base_word = substitute(system.generators, gen)
         img = apply_vaut(v_inv, base_word)
         inverse_images.append(rewrite_in_schreier_generators(cover, img))
     out = VirtualAutomorphism(
@@ -639,7 +626,7 @@ def apply_rebased(rb: RebasedVaut, w: Iterable[int]) -> Word:
     """Apply a rebased germ to an ambient word of its flattened domain."""
     over_cover = rewrite_in_schreier_generators(rb.cover, w)
     image = apply_vaut(rb.vaut, over_cover)
-    return evaluate_schreier_word(schreier_system(rb.cover), image)
+    return substitute(schreier_system(rb.cover).generators, image)
 
 
 def rebase_back(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Word = Tuple[int, ...]
 
@@ -37,6 +37,16 @@ def free_reduce(letters: Iterable[int]) -> Word:
 
 def inverse_word(w: Iterable[int]) -> Word:
     return tuple(-x for x in reversed(tuple(w)))
+
+
+def substitute(images: Sequence[Iterable[int]], w: Iterable[int]) -> Word:
+    """Replace each letter j of ``w`` by ``images[j-1]`` and each -j by its
+    inverse, then freely reduce."""
+    out: list[int] = []
+    for x in w:
+        img = images[abs(x) - 1]
+        out.extend(img if x > 0 else inverse_word(img))
+    return free_reduce(out)
 
 
 def concat(*ws: Iterable[int]) -> Word:

@@ -300,6 +300,26 @@ def test_schema_error_exit_six(tmp_path, capsys):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize(
+    "table, basepoint, message",
+    [
+        ([[0, 0, 0, 0], [0, 1, 1, 1]], 0, "column 1 is not a permutation"),
+        ([[1, 0, 0, 0], [0, 1, 1, 1]], 99, "basepoint out of range"),
+    ],
+)
+def test_bad_subgroup_table_exits_six(tmp_path, capsys, table, basepoint, message):
+    doc = {"schema": "subgroup/1", "genus": 2, "index": 2, "basepoint": basepoint, "table": table}
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code, out, err = _run(
+        capsys, "--workspace", str(tmp_path), "char", "core", "--subgroup", "bad.json"
+    )
+    assert code == 6
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "SchemaError"
+    assert message in diagnostic["message"]
+
+
 def _digest_tree(root):
     digests = {}
     for path in sorted(root.iterdir()):

@@ -1,0 +1,310 @@
+"""Reference checks for the shared orbit primitive of ``cosets``.
+
+Each helper below is the construction as it was written before every table
+went through ``cosets._orbit_table``: a hand-written BFS that labels states
+and then rebuilds the table from the labels.  The helpers never call the
+code under test, so agreement is an independent check of the canonical
+order and of the tables themselves.
+"""
+
+import random
+from collections import deque
+
+import pytest
+
+from covertower import (
+    IntersectionIndexOverflow,
+    NotTransitive,
+    RelatorViolated,
+    Subgroup,
+    canonicalize,
+    conjugate_subgroup,
+    flatten_cover_subgroup,
+    free_reduce,
+    hom_enumeration,
+    homology_cover,
+    intersect,
+    inverse_word,
+    kernel_subgroup,
+    low_index_subgroups,
+    make_subgroup,
+    restrict_to_cover,
+)
+from covertower.cosets import _alphabet
+
+
+def _old_canonical_table(sub):
+    """Relabel by BFS from the basepoint, then rebuild the table."""
+    order = [sub.basepoint]
+    label = {sub.basepoint: 0}
+    queue = deque([sub.basepoint])
+    while queue:
+        c = queue.popleft()
+        for letter in _alphabet(sub.pres.generator_count):
+            d = sub.act_letter(c, letter)
+            if d not in label:
+                label[d] = len(order)
+                order.append(d)
+                queue.append(d)
+    k = sub.pres.generator_count
+    return tuple(tuple(label[sub.table[old][j]] for j in range(k)) for old in order)
+
+
+def _old_conjugate_table(sub, w):
+    new_base = sub.act_word(sub.basepoint, inverse_word(w))
+    return _old_canonical_table(Subgroup(sub.pres, sub.table, new_base))
+
+
+def _old_intersect_table(a, b, max_index=None):
+    k = a.pres.generator_count
+    start = (a.basepoint, b.basepoint)
+    label = {start: 0}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        ca, cb = queue.popleft()
+        for letter in _alphabet(k):
+            pair = (a.act_letter(ca, letter), b.act_letter(cb, letter))
+            if pair not in label:
+                if max_index is not None and len(order) >= max_index:
+                    raise IntersectionIndexOverflow(
+                        f"intersection exceeds index cap {max_index}"
+                    )
+                label[pair] = len(order)
+                order.append(pair)
+                queue.append(pair)
+    return tuple(
+        tuple(label[(a.table[ca][j], b.table[cb][j])] for j in range(k))
+        for ca, cb in order
+    )
+
+
+def _perm_mul(p, q):
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
+def _old_kernel_table(pres, assignment):
+    """Regular action of the image group by a positive-letter BFS."""
+    n = len(assignment[0])
+    identity = tuple(range(n))
+    elements = [identity]
+    index_of = {identity: 0}
+    queue = [identity]
+    while queue:
+        e = queue.pop(0)
+        for g in assignment:
+            f = _perm_mul(e, g)
+            if f not in index_of:
+                index_of[f] = len(elements)
+                elements.append(f)
+                queue.append(f)
+    k = pres.generator_count
+    table = tuple(
+        tuple(index_of[_perm_mul(e, assignment[j])] for j in range(k))
+        for e in elements
+    )
+    return _old_canonical_table(Subgroup(pres, table, 0))
+
+
+def _old_homology_table(pres, n):
+    k = pres.generator_count
+    powers = [n**j for j in range(k)]
+    rows = []
+    for c in range(n**k):
+        row = []
+        for j in range(k):
+            digit = (c // powers[j]) % n
+            row.append(c + (((digit + 1) % n) - digit) * powers[j])
+        rows.append(tuple(row))
+    return _old_canonical_table(Subgroup(pres, tuple(rows), 0))
+
+
+def _old_make_subgroup_table(pres, perms, basepoint):
+    """Validate the whole action first (transitivity, then relators)."""
+    k = pres.generator_count
+    if len(perms) != k:
+        raise ValueError(f"need {k} permutations, got {len(perms)}")
+    if not perms[0]:
+        raise ValueError("empty permutation")
+    n = len(perms[0])
+    for p in perms:
+        if sorted(p) != list(range(n)):
+            raise ValueError("not a permutation of 0..n-1")
+    if not (0 <= basepoint < n):
+        raise ValueError("basepoint out of range")
+    table = tuple(tuple(perms[j][c] for j in range(k)) for c in range(n))
+    return _old_canonical_table(Subgroup(pres, table, basepoint))
+
+
+def _old_orbit_violates_a_relator(pres, perms, basepoint):
+    """The removed ``restrict_to_orbit`` path: cut the action to the orbit."""
+    k = pres.generator_count
+    n = len(perms[0])
+    inv = [[0] * n for _ in range(k)]
+    for j in range(k):
+        for c in range(n):
+            inv[j][perms[j][c]] = c
+    seen = {basepoint}
+    queue = deque([basepoint])
+    while queue:
+        c = queue.popleft()
+        for j in range(k):
+            for d in (perms[j][c], inv[j][c]):
+                if d not in seen:
+                    seen.add(d)
+                    queue.append(d)
+    points = sorted(seen)
+    relabel = {p: i for i, p in enumerate(points)}
+    table = tuple(tuple(relabel[perms[j][p]] for j in range(k)) for p in points)
+    try:
+        Subgroup(pres, table, relabel[basepoint])
+    except RelatorViolated:
+        return True
+    return False
+
+
+def _random_word(rng, k, max_len):
+    return free_reduce(
+        rng.choice([1, -1]) * rng.randint(1, k) for _ in range(rng.randint(0, max_len))
+    )
+
+
+@pytest.fixture(scope="module")
+def index_le_three(pres2):
+    return low_index_subgroups(pres2, 3)
+
+
+def test_canonicalize_and_conjugate_match_the_bfs_reference(pres2, index_le_three):
+    rng = random.Random(41)
+    assert len(index_le_three) == 236
+    for sub in index_le_three:
+        moved = Subgroup(pres2, sub.table, rng.randrange(sub.index))
+        canon = canonicalize(moved)
+        assert canon.basepoint == 0 and canon.canonical
+        assert canon.table == _old_canonical_table(moved)
+        w = _random_word(rng, 4, 10)
+        conj = conjugate_subgroup(moved, w)
+        assert conj.basepoint == 0
+        assert conj.table == _old_conjugate_table(moved, w)
+
+
+def test_intersect_matches_the_bfs_reference(pres2, index_le_three):
+    rng = random.Random(43)
+    overflows = 0
+    for _ in range(200):
+        a, b = (
+            Subgroup(pres2, s.table, rng.randrange(s.index))
+            for s in rng.sample(index_le_three, 2)
+        )
+        assert intersect(a, b).table == _old_intersect_table(a, b)
+        cap = rng.randint(1, 9)
+        try:
+            expected = _old_intersect_table(a, b, cap)
+        except IntersectionIndexOverflow as exc:
+            overflows += 1
+            with pytest.raises(IntersectionIndexOverflow) as excinfo:
+                intersect(a, b, cap)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert intersect(a, b, cap).table == expected
+    assert 0 < overflows < 200
+
+
+def test_flattened_tables_are_canonical(pres2, index_two_subgroups, index_le_three):
+    # flatten_cover_subgroup returns its orbit table without a second
+    # canonicalization; round-tripping through a relative table must give
+    # the BFS-canonical table of the original subgroup.
+    rng = random.Random(44)
+    for outer in index_two_subgroups:
+        for other in rng.sample(index_le_three, 8):
+            inner = intersect(outer, other)
+            flat = flatten_cover_subgroup(outer, restrict_to_cover(inner, outer))
+            assert flat.basepoint == 0
+            assert flat.table == _old_canonical_table(inner)
+
+
+def test_kernel_subgroup_matches_the_bfs_reference(pres2):
+    homs = hom_enumeration(pres2, 3)
+    assert len(homs) == 486
+    for assignment in homs:
+        ker = kernel_subgroup(pres2, assignment)
+        assert ker.basepoint == 0
+        assert ker.table == _old_kernel_table(pres2, assignment)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_homology_cover_matches_the_integer_rows(pres2, n):
+    sub = homology_cover(pres2, n).subgroup
+    assert sub.index == n**4
+    assert sub.table == _old_homology_table(pres2, n)
+
+
+def _conjugated_action(sub, rng):
+    """The action on the cosets of ``sub``, with the points shuffled."""
+    sigma = list(range(sub.index))
+    rng.shuffle(sigma)
+    perms = [[0] * sub.index for _ in range(sub.pres.generator_count)]
+    for c, row in enumerate(sub.table):
+        for j, d in enumerate(row):
+            perms[j][sigma[c]] = sigma[d]
+    return perms, sigma[sub.basepoint]
+
+
+def _random_perms(rng, k, n):
+    perms = []
+    for _ in range(k):
+        p = list(range(n))
+        rng.shuffle(p)
+        perms.append(p)
+    return perms
+
+
+def test_make_subgroup_matches_the_reference(pres2, index_le_three):
+    rng = random.Random(47)
+    cases = []
+    for sub in rng.sample(index_le_three, 40):
+        perms, base = _conjugated_action(sub, rng)
+        cases.append((perms, base))
+        # Disjoint union with a second action: intransitive.
+        other, _ = _conjugated_action(rng.choice(index_le_three), rng)
+        m = len(perms[0])
+        union = [p + [x + m for x in q] for p, q in zip(perms, other)]
+        cases.append((union, base))
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        perms = _random_perms(rng, 4, n)
+        cases.append((perms, rng.randrange(n)))
+        # The same action plus a fixed point the basepoint cannot reach.
+        cases.append(([p + [n] for p in perms], rng.randrange(n)))
+    cases.append(([[0, 0], [0, 1], [0, 1], [0, 1]], 0))
+    cases.append(([[0, 1]] * 4, 2))
+    outcomes = set()
+    for perms, base in cases:
+        try:
+            expected = _old_make_subgroup_table(pres2, perms, base)
+        except (ValueError, NotTransitive, RelatorViolated) as exc:
+            with pytest.raises(Exception) as excinfo:
+                make_subgroup(pres2, perms, base)
+            got = excinfo.value
+            outcomes.add(type(exc).__name__)
+            if isinstance(exc, NotTransitive) and isinstance(got, RelatorViolated):
+                # The orbit is walked first, so a relator broken on the
+                # orbit is reported before the missing points.
+                assert _old_orbit_violates_a_relator(pres2, perms, base)
+                outcomes.add("RelatorViolated on the orbit")
+                continue
+            assert type(got) is type(exc)
+            if not isinstance(exc, RelatorViolated):
+                assert str(got) == str(exc)
+        else:
+            sub = make_subgroup(pres2, perms, base)
+            outcomes.add("ok")
+            assert sub.basepoint == 0
+            assert sub.table == expected
+    assert outcomes == {
+        "ok",
+        "ValueError",
+        "NotTransitive",
+        "RelatorViolated",
+        "RelatorViolated on the orbit",
+    }

@@ -16,7 +16,6 @@ from covertower import (
     contains,
     covering_genus,
     deck_group,
-    evaluate_schreier_word,
     factor_through,
     flatten_cover_subgroup,
     free_reduce,
@@ -32,6 +31,7 @@ from covertower import (
     restrict_to_cover,
     rewrite_in_schreier_generators,
     schreier_generators,
+    substitute,
     twisted_subgroup,
 )
 from covertower.cosets import schreier_system
@@ -99,7 +99,7 @@ def test_rewritten_relators_die_in_the_ambient_group(index_two_subgroups):
     pres = reidemeister_schreier(sub)
     assert pres.generator_count == 7
     for relator in pres.relators:
-        word = evaluate_schreier_word(system, relator)
+        word = substitute(system.generators, relator)
         assert is_identity(sub.pres, word)
 
 
@@ -207,7 +207,7 @@ def test_rewrite_in_schreier_generators(pres2, index_two_subgroups):
         if contains(sub, w):
             members += 1
             rewritten = rewrite_in_schreier_generators(sub, w)
-            assert evaluate_schreier_word(system, rewritten) == w
+            assert substitute(system.generators, rewritten) == w
         else:
             nonmembers += 1
             with pytest.raises(ValueError):

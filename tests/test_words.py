@@ -12,6 +12,7 @@ from covertower import (
     free_reduce,
     inverse_word,
     is_identity,
+    substitute,
     words_equal,
 )
 
@@ -97,3 +98,44 @@ def test_words_equal_is_symmetric_and_sound():
     assert words_equal(pres, u, v)
     assert words_equal(pres, v, u)
     assert not words_equal(pres, u, (2,))
+
+
+def _random_letters(rng, k, max_len):
+    return tuple(rng.choice([1, -1]) * rng.randint(1, k) for _ in range(rng.randint(0, max_len)))
+
+
+def test_substitute_identity_images_free_reduce():
+    rng = random.Random(53)
+    identity = [(j,) for j in range(1, 7)]
+    for _ in range(200):
+        w = _random_letters(rng, 6, 20)
+        assert substitute(identity, w) == free_reduce(w)
+
+
+def test_substitute_inverts_images_of_inverse_letters():
+    rng = random.Random(59)
+    for _ in range(100):
+        images = [free_reduce(_random_letters(rng, 4, 6)) for _ in range(4)]
+        for j in range(1, 5):
+            assert substitute(images, (-j,)) == inverse_word(images[j - 1])
+        w = _random_letters(rng, 4, 12)
+        assert substitute(images, inverse_word(w)) == inverse_word(substitute(images, w))
+        assert substitute(images, w + inverse_word(w)) == ()
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_apply_automorphism_round_trips_through_the_handle_swap(genus):
+    from covertower import apply_automorphism, handle_swap
+
+    pres = SurfacePresentation(genus)
+    phi = handle_swap(pres)
+    rng = random.Random(61 + genus)
+    for _ in range(50):
+        w = free_reduce(_random_letters(rng, 2 * genus, 16))
+        image = apply_automorphism(phi, w)
+        assert image == substitute(phi.images, w)
+        back = apply_automorphism(phi, image, inverse=True)
+        assert words_equal(pres, back, w)
+        if genus == 2:
+            # The genus-2 swap is a letter permutation and its own inverse.
+            assert back == w
