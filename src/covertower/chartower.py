@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Sequence, Union
 from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import (
     Subgroup,
-    canonicalize,
     contains,
     covering_genus,
     factor_through,
@@ -304,7 +303,6 @@ def char_core(sub: Subgroup, config: Optional[RunConfig] = None) -> CharSubgroup
     IntersectionIndexOverflow is raised.
     """
     cfg = config or DEFAULT_CONFIG
-    sub = canonicalize(sub)
     n = sub.index
     core = _hom_kernel_core(sub.pres, n, cfg)
     assert is_subgroup_of(core, sub), "core must land inside the input"
@@ -352,7 +350,6 @@ def is_invariant_under(
     preserves the index, and a finite-index subgroup containing an
     equal-index subgroup equals it.
     """
-    sub = canonicalize(sub)
     gens = schreier_generators(sub)
     for phi in auts:
         if not phi.verified:
@@ -372,7 +369,7 @@ class RestrictedAutomorphism:
 
 
 def restrict_aut(phi: Automorphism, char: Union[Subgroup, CharSubgroup]) -> RestrictedAutomorphism:
-    sub = canonicalize(_subgroup_of(char))
+    sub = _subgroup_of(char)
     if not phi.verified:
         raise ValueError("automorphism must carry verified inverse images")
     images = []
@@ -410,8 +407,7 @@ def char_core_within(
 ) -> RelativeCharSubgroup:
     """char_core of ``inner`` computed inside the cover group of ``ambient``."""
     cfg = config or DEFAULT_CONFIG
-    amb = canonicalize(_subgroup_of(ambient))
-    inner = canonicalize(inner)
+    amb = _subgroup_of(ambient)
     if not is_subgroup_of(inner, amb):
         raise InconsistentInput("inner subgroup is not contained in the ambient cover")
     rel = restrict_to_cover(inner, amb)
@@ -442,8 +438,8 @@ def char_order(
     "unknown".
     """
     cfg = config or DEFAULT_CONFIG
-    b = canonicalize(_subgroup_of(beta))
-    a = canonicalize(_subgroup_of(alpha))
+    b = _subgroup_of(beta)
+    a = _subgroup_of(alpha)
     if not is_subgroup_of(b, a):
         return "no"
     if b == a:
@@ -482,8 +478,8 @@ def fiber_product_preserves_char(
 ) -> CharSubgroup:
     """Intersection of two certified subgroups, with a derived certificate."""
     cfg = config or DEFAULT_CONFIG
-    sa = canonicalize(a.subgroup)
-    sb = canonicalize(b.subgroup)
+    sa = a.subgroup
+    sb = b.subgroup
     if sa.pres != sb.pres:
         raise InconsistentInput("subgroups over different presentations")
     inter = intersect(sa, sb, max_index=cfg.max_result_index)
@@ -509,7 +505,7 @@ def verify_certificate(
 ) -> bool:
     """Re-run the checkable content of a certificate."""
     cfg = config or DEFAULT_CONFIG
-    sub = canonicalize(char.subgroup)
+    sub = char.subgroup
     cert = char.certificate
     if cert.kind == "homology-level":
         if not isinstance(sub.pres, SurfacePresentation):
@@ -521,11 +517,7 @@ def verify_certificate(
         if len(cert.parents) != 2:
             return False
         pa, pb = cert.parents
-        inter = intersect(
-            canonicalize(pa.subgroup),
-            canonicalize(pb.subgroup),
-            max_index=cfg.max_result_index,
-        )
+        inter = intersect(pa.subgroup, pb.subgroup, max_index=cfg.max_result_index)
         return (
             inter == sub
             and verify_certificate(pa, cfg)
@@ -604,18 +596,17 @@ def build_char_tower(
                 if payload.subgroup.pres != pres:
                     raise InconsistentInput("subgroup over a different presentation")
                 return payload
-            sub = canonicalize(payload)
-            if sub.pres != pres:
+            if payload.pres != pres:
                 raise InconsistentInput("subgroup over a different presentation")
             auts = builtin_test_automorphisms(pres)
-            if not is_invariant_under(sub, auts):
+            if not is_invariant_under(payload, auts):
                 raise NotInvariant(
                     "explicit subgroup fails built-in automorphism invariance"
                 )
             cert = CharCertificate(
                 "supplied-aut-invariance", auts=auts, partial=True
             )
-            return CharSubgroup(sub, cert)
+            return CharSubgroup(payload, cert)
         raise InconsistentInput(f"unknown tower step {step!r}")
 
     for step in steps:

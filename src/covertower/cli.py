@@ -24,25 +24,9 @@ from .chartower import (
     homology_cover,
 )
 from .config import DEFAULT_CONFIG, RunConfig
-from .cosets import Subgroup, canonicalize, intersect
+from .cosets import Subgroup, intersect
 from .enumerate import low_index_subgroups
-from .errors import (
-    BudgetExceeded,
-    CovertowerError,
-    IdentificationInvalid,
-    IncompatibleTower,
-    InconsistentInput,
-    IndexOverflow,
-    NotAnIsomorphism,
-    NotInvariant,
-    NotInvertible,
-    NotNormal,
-    NotRestrictable,
-    NotTransitive,
-    RelatorViolated,
-    SchemaError,
-    SingularMatrix,
-)
+from .errors import CovertowerError, InconsistentInput, SchemaError
 from .genus_one import (
     RationalMobius,
     UpperHalfPoint,
@@ -84,30 +68,12 @@ from .vaut import (
 from .words import SurfacePresentation
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_BUDGET = 3
-EXIT_MATH = 4
-EXIT_OVERFLOW = 5
-EXIT_SCHEMA = 6
 
 
 class UsageError(CovertowerError):
     """A command-line argument is outside the range its command accepts."""
 
-
-_MATH_ERRORS = (
-    RelatorViolated,
-    NotTransitive,
-    NotNormal,
-    NotInvariant,
-    IdentificationInvalid,
-    NotAnIsomorphism,
-    NotRestrictable,
-    NotInvertible,
-    InconsistentInput,
-    IncompatibleTower,
-    SingularMatrix,
-)
+    exit_code = 2
 
 
 def _emit(doc: dict) -> None:
@@ -600,21 +566,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except CovertowerError as exc:
         _diagnose(exc)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
-        _diagnose(exc)
-        return EXIT_BUDGET
-    except IndexOverflow as exc:
-        _diagnose(exc)
-        return EXIT_OVERFLOW
-    except _MATH_ERRORS as exc:
-        _diagnose(exc)
-        return EXIT_MATH
-    except SchemaError as exc:
-        _diagnose(exc)
-        return EXIT_SCHEMA
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -6,23 +6,23 @@ G on H\\G: ``table[c][j]`` is the coset reached from coset ``c`` by the
 basepoint coset is H itself, so ``w in H`` iff tracing ``w`` from the
 basepoint returns to it.
 
-The canonical form relabels cosets by breadth-first search from the
-basepoint, scanning each coset's neighbours in the fixed alphabet order
-x1, x1^-1, x2, x2^-1, ...  Two coset tables describe the same subgroup iff
-their canonical forms are identical, which makes subgroup equality a tuple
-comparison.
+Every ``Subgroup`` is canonical: its constructor relabels cosets by
+breadth-first search from the basepoint it is given, scanning each coset's
+neighbours in the fixed alphabet order x1, x1^-1, x2, x2^-1, ..., so the
+basepoint is always coset 0.  Two subgroups are equal iff their canonical
+tables are identical, which makes subgroup equality a tuple comparison.
 
-Every table-building orbit walk (canonical form, intersection,
-conjugation, tables from permutations, flattening a relative table, and
-the kernel and homology tables of ``chartower``) goes through one
-primitive, ``_orbit_table``: it labels the orbit of a start state in that
-same BFS order, so the table it returns is canonical by construction.
+Every orbit walk that builds or checks a table (the constructor itself,
+intersection, conjugation, tables from permutations, flattening a relative
+table, and the kernel and homology tables of ``chartower``) goes through
+one primitive, ``_orbit_rows``: it labels the orbit of a start state in
+that same BFS order, so the rows it returns are canonical by construction.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -55,65 +55,58 @@ def _alphabet(generator_count: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Subgroup:
+    """A subgroup as its BFS-canonical coset table.
+
+    ``basepoint`` names the coset of the subgroup in ``table``; the stored
+    table is relabelled so that it becomes coset 0.
+    """
+
     pres: Presentation
     table: tuple[tuple[int, ...], ...]
-    basepoint: int = 0
-    # A hint that the table is already in BFS-canonical form; it never
-    # takes part in equality or hashing.
-    canonical: bool = field(default=False, compare=False)
+    basepoint: InitVar[int] = 0
 
-    def __post_init__(self) -> None:
-        n = len(self.table)
+    def __post_init__(self, basepoint: int) -> None:
+        table = self.table
+        n = len(table)
         k = self.pres.generator_count
         if n == 0:
             raise ValueError("empty coset table")
-        if not (0 <= self.basepoint < n):
+        if not (0 <= basepoint < n):
             raise ValueError("basepoint out of range")
-        for row in self.table:
+        for row in table:
             if len(row) != k:
                 raise ValueError("ragged coset table")
         for j in range(k):
-            col = [row[j] for row in self.table]
+            col = [row[j] for row in table]
             if sorted(col) != list(range(n)):
                 raise ValueError(f"column {j + 1} is not a permutation")
-        # Transitivity from the basepoint.
-        seen = {self.basepoint}
-        queue = deque([self.basepoint])
-        inv = self._build_inverse()
-        while queue:
-            c = queue.popleft()
-            for j in range(k):
-                for d in (self.table[c][j], inv[c][j]):
-                    if d not in seen:
-                        seen.add(d)
-                        queue.append(d)
-        if len(seen) != n:
+        inv = _inverse_rows(table, k)
+        rows = _orbit_rows(
+            k,
+            basepoint,
+            lambda c, x: table[c][x - 1] if x > 0 else inv[c][-x - 1],
+        )
+        if len(rows) != n:
             raise NotTransitive(
-                f"only {len(seen)} of {n} cosets reachable from basepoint"
+                f"only {len(rows)} of {n} cosets reachable from basepoint"
             )
-        # Relators must act trivially from every coset.
+        # Relators must act trivially from every coset; relabelling the
+        # cosets does not change that, so the input table is checked.
         for r in self.pres.relators:
             for c in range(n):
                 d = c
                 for x in r:
-                    d = self.table[d][x - 1] if x > 0 else inv[d][-x - 1]
+                    d = table[d][x - 1] if x > 0 else inv[d][-x - 1]
                 if d != c:
                     raise RelatorViolated(
                         f"relator moves coset {c} to {d}"
                     )
-
-    def _build_inverse(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.table)
-        k = self.pres.generator_count
-        inv = [[0] * k for _ in range(n)]
-        for c in range(n):
-            for j in range(k):
-                inv[self.table[c][j]][j] = c
-        return tuple(tuple(row) for row in inv)
+        if rows != table:
+            object.__setattr__(self, "table", rows)
 
     @cached_property
     def inverse_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._build_inverse()
+        return _inverse_rows(self.table, self.pres.generator_count)
 
     @property
     def index(self) -> int:
@@ -134,16 +127,27 @@ class Subgroup:
 
 def full_subgroup(pres: Presentation) -> Subgroup:
     k = pres.generator_count
-    return Subgroup(pres, ((0,) * k,), 0, True)
+    return Subgroup(pres, ((0,) * k,))
 
 
-def _orbit_table(
-    pres: Presentation,
+def _inverse_rows(
+    table: Sequence[Sequence[int]], generator_count: int
+) -> tuple[tuple[int, ...], ...]:
+    """Rows of the inverse generators of a table of permutations."""
+    inv = [[0] * generator_count for _ in table]
+    for c, row in enumerate(table):
+        for j in range(generator_count):
+            inv[row[j]][j] = c
+    return tuple(tuple(row) for row in inv)
+
+
+def _orbit_rows(
+    generator_count: int,
     start: Hashable,
     step: Callable[[Hashable, int], Hashable],
     max_index: Optional[int] = None,
-) -> Subgroup:
-    """Canonical coset table of the orbit of ``start`` under ``step``.
+) -> tuple[tuple[int, ...], ...]:
+    """Canonical coset table rows of the orbit of ``start`` under ``step``.
 
     ``step(state, letter)`` is the action of a signed generator letter; the
     letters of a generator and its inverse must act as inverse permutations
@@ -152,7 +156,7 @@ def _orbit_table(
     recorded as its state is walked.  Past ``max_index`` states
     IndexOverflow is raised.
     """
-    alphabet = _alphabet(pres.generator_count)
+    alphabet = _alphabet(generator_count)
     label = {start: 0}
     order = [start]
     rows = []
@@ -169,7 +173,17 @@ def _orbit_table(
             if letter > 0:
                 row.append(d)
         rows.append(tuple(row))
-    return Subgroup(pres, tuple(rows), 0, True)
+    return tuple(rows)
+
+
+def _orbit_table(
+    pres: Presentation,
+    start: Hashable,
+    step: Callable[[Hashable, int], Hashable],
+    max_index: Optional[int] = None,
+) -> Subgroup:
+    """The subgroup whose coset table is the orbit of ``start`` (see _orbit_rows)."""
+    return Subgroup(pres, _orbit_rows(pres.generator_count, start, step, max_index))
 
 
 def make_subgroup(
@@ -211,16 +225,9 @@ def make_subgroup(
     return sub
 
 
-def canonicalize(sub: Subgroup) -> Subgroup:
-    """Relabel cosets by BFS from the basepoint; idempotent."""
-    if sub.canonical and sub.basepoint == 0:
-        return sub
-    return _orbit_table(sub.pres, sub.basepoint, sub.act_letter)
-
-
 def contains(sub: Subgroup, w: Iterable[int]) -> bool:
     w = validate_word(sub.pres, w)
-    return sub.act_word(sub.basepoint, w) == sub.basepoint
+    return sub.act_word(0, w) == 0
 
 
 def covering_genus(sub: Subgroup) -> int:
@@ -251,8 +258,6 @@ class SchreierSystem:
 
 @lru_cache(maxsize=4096)
 def schreier_system(sub: Subgroup) -> SchreierSystem:
-    if not (sub.canonical and sub.basepoint == 0):
-        return schreier_system(canonicalize(sub))
     n = sub.index
     k = sub.pres.generator_count
     alphabet = _alphabet(k)
@@ -318,7 +323,7 @@ def rewrite_from(system: SchreierSystem, start: int, w: Iterable[int]) -> tuple[
 
 def rewrite_in_schreier_generators(sub: Subgroup, w: Iterable[int]) -> Word:
     w = validate_word(sub.pres, w)
-    system = schreier_system(canonicalize(sub))
+    system = schreier_system(sub)
     rewritten, end = rewrite_from(system, 0, w)
     if end != 0:
         raise ValueError("word is not in the subgroup")
@@ -327,7 +332,6 @@ def rewrite_in_schreier_generators(sub: Subgroup, w: Iterable[int]) -> Word:
 
 def reidemeister_schreier(sub: Subgroup) -> GenericPresentation:
     """Presentation of the subgroup on its Schreier generators."""
-    sub = canonicalize(sub)
     system = schreier_system(sub)
     relators: list[Word] = []
     seen: set[Word] = set()
@@ -353,13 +357,13 @@ def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
 
 
 def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subgroup:
-    """Intersection: the orbit of (basepoint, basepoint) in the product action."""
+    """Intersection: the orbit of (0, 0) in the product action."""
     if a.pres != b.pres:
         raise ValueError("subgroups of different presentations")
     try:
         return _orbit_table(
             a.pres,
-            (a.basepoint, b.basepoint),
+            (0, 0),
             lambda p, x: (a.act_letter(p[0], x), b.act_letter(p[1], x)),
             max_index,
         )
@@ -372,12 +376,10 @@ def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subg
 def conjugate_subgroup(sub: Subgroup, w: Iterable[int]) -> Subgroup:
     """The conjugate w H w^-1 (same table, basepoint moved along w^-1)."""
     w = validate_word(sub.pres, w)
-    new_base = sub.act_word(sub.basepoint, inverse_word(w))
-    return _orbit_table(sub.pres, new_base, sub.act_letter)
+    return Subgroup(sub.pres, sub.table, sub.act_word(0, inverse_word(w)))
 
 
 def is_normal(sub: Subgroup) -> bool:
-    sub = canonicalize(sub)
     k = sub.pres.generator_count
     return all(conjugate_subgroup(sub, (j,)) == sub for j in range(1, k + 1))
 
@@ -398,8 +400,8 @@ def factor_through(beta: Subgroup, alpha: Subgroup) -> Optional[CoveringArrow]:
         raise ValueError("subgroups of different presentations")
     k = beta.pres.generator_count
     f: list[Optional[int]] = [None] * beta.index
-    f[beta.basepoint] = alpha.basepoint
-    queue = deque([beta.basepoint])
+    f[0] = 0
+    queue = deque([0])
     alphabet = _alphabet(k)
     while queue:
         c = queue.popleft()
@@ -429,8 +431,6 @@ def restrict_to_cover(inner: Subgroup, outer: Subgroup) -> Subgroup:
     Requires inner <= outer.  The resulting Subgroup lives over the
     Reidemeister-Schreier presentation of ``outer``.
     """
-    inner = canonicalize(inner)
-    outer = canonicalize(outer)
     arrow = factor_through(inner, outer)
     if arrow is None:
         raise ValueError("inner is not contained in outer")
@@ -442,7 +442,7 @@ def restrict_to_cover(inner: Subgroup, outer: Subgroup) -> Subgroup:
         tuple(relabel[inner.act_word(c, g)] for g in system.generators)
         for c in fiber
     )
-    return canonicalize(Subgroup(pres, table, relabel[0]))
+    return Subgroup(pres, table)
 
 
 def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
@@ -452,7 +452,6 @@ def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
     presentation of ``outer``; the result is the corresponding subgroup of
     the ambient group, of index index(outer) * index(relative).
     """
-    outer = canonicalize(outer)
     system = schreier_system(outer)
     if relative.pres.generator_count != len(system.generators):
         raise ValueError("relative table does not match the cover's generators")
@@ -467,7 +466,7 @@ def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
             e = relative.act_letter(e, gen if letter > 0 else -gen)
         return nd, e
 
-    return _orbit_table(outer.pres, (0, relative.basepoint), step)
+    return _orbit_table(outer.pres, (0, 0), step)
 
 
 def twisted_subgroup(sub: Subgroup, generator_words: Sequence[Word]) -> Subgroup:
@@ -483,7 +482,7 @@ def twisted_subgroup(sub: Subgroup, generator_words: Sequence[Word]) -> Subgroup
         tuple(sub.act_word(c, generator_words[j]) for j in range(k))
         for c in range(sub.index)
     )
-    return canonicalize(Subgroup(sub.pres, table, sub.basepoint))
+    return Subgroup(sub.pres, table)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +520,6 @@ def _perm_order(p: tuple[int, ...]) -> int:
 
 def deck_group(sub: Subgroup) -> DeckGroup:
     """Quotient action of a normal subgroup; order equals the index."""
-    sub = canonicalize(sub)
     if not is_normal(sub):
         raise NotNormal("deck group computed only for normal subgroups")
     n = sub.index

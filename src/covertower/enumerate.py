@@ -113,7 +113,7 @@ def low_index_subgroups(
             table = tuple(
                 tuple(tab[c][_col(j)] for j in range(1, k + 1)) for c in range(n)
             )
-            results.append(Subgroup(pres, table, 0, True))
+            results.append(Subgroup(pres, table))
             return
         c, col = cell
         limit = state["n"] + (1 if state["n"] < max_index else 0)

@@ -23,7 +23,7 @@ from .chartower import (
     TowerGraph,
     TowerNode,
 )
-from .cosets import Subgroup, canonicalize, covering_genus
+from .cosets import Subgroup, covering_genus, factor_through
 from .errors import SchemaError
 from .vaut import TwoArrowCycle, VirtualAutomorphism
 from .words import SurfacePresentation, Word
@@ -135,14 +135,13 @@ def subgroup_doc(sub: Union[Subgroup, CharSubgroup]) -> dict:
     if isinstance(sub, CharSubgroup):
         certificate = sub.certificate
         sub = sub.subgroup
-    sub = canonicalize(sub)
     if not isinstance(sub.pres, SurfacePresentation):
         raise SchemaError("only base-surface subgroups are serialized")
     doc: dict = {
         "schema": "subgroup/1",
         "genus": sub.pres.genus,
         "index": sub.index,
-        "basepoint": sub.basepoint,
+        "basepoint": 0,
         "table": [list(row) for row in sub.table],
     }
     if certificate is not None:
@@ -169,10 +168,9 @@ def subgroup_from_doc(doc: dict) -> Subgroup:
     if len(rows) != index:
         raise SchemaError("declared index does not match the table")
     try:
-        sub = Subgroup(pres, tuple(rows), basepoint)
+        return Subgroup(pres, tuple(rows), basepoint)
     except ValueError as exc:
         raise SchemaError(f"bad coset table: {exc}") from exc
-    return canonicalize(sub)
 
 
 def char_subgroup_from_doc(doc: dict) -> CharSubgroup:
@@ -221,14 +219,13 @@ def tower_from_doc(doc: dict) -> TowerGraph:
     genus = _require(doc, "genus", int)
     pres = SurfacePresentation(genus)
     nodes = []
-    names = set()
+    subgroups: dict[str, Subgroup] = {}
     for raw in _require(doc, "nodes", list):
         if not isinstance(raw, dict):
             raise SchemaError("tower nodes must be objects")
         name = _require(raw, "name", str)
-        if name in names:
+        if name in subgroups:
             raise SchemaError(f"duplicate node name {name!r}")
-        names.add(name)
         char = char_subgroup_from_doc(_require(raw, "subgroup", dict))
         degree = _require(raw, "degree", int)
         node_genus = _require(raw, "genus", int)
@@ -237,18 +234,27 @@ def tower_from_doc(doc: dict) -> TowerGraph:
         if node_genus != covering_genus(char.subgroup):
             raise SchemaError(f"node {name!r}: genus does not match the table")
         nodes.append(TowerNode(name, char, node_genus, degree))
+        subgroups[name] = char.subgroup
     edges = []
     for raw in _require(doc, "edges", list):
         if not isinstance(raw, dict):
             raise SchemaError("tower edges must be objects")
         sub = _require(raw, "sub", str)
         sup = _require(raw, "super", str)
-        if sub not in names or sup not in names:
+        if sub not in subgroups or sup not in subgroups:
             raise SchemaError("edge references an unknown node")
         tag = _require(raw, "charTag", str)
         if tag not in ("yes", "no", "unknown"):
             raise SchemaError(f"unknown characteristic tag {tag!r}")
-        edges.append(TowerEdge(sub, sup, _require(raw, "relativeDegree", int), tag))
+        degree = _require(raw, "relativeDegree", int)
+        arrow = factor_through(subgroups[sub], subgroups[sup])
+        if arrow is None:
+            raise SchemaError(f"edge {sub!r} -> {sup!r}: no covering arrow")
+        if degree != arrow.relative_degree:
+            raise SchemaError(
+                f"edge {sub!r} -> {sup!r}: relative degree is {arrow.relative_degree}"
+            )
+        edges.append(TowerEdge(sub, sup, degree, tag))
     return TowerGraph(pres, tuple(nodes), tuple(edges))
 
 

@@ -26,7 +26,6 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import (
     CoveringArrow,
     Subgroup,
-    canonicalize,
     contains,
     factor_through,
     flatten_cover_subgroup,
@@ -124,7 +123,6 @@ def generation_certified(target: Subgroup, images: Sequence[Word]) -> bool:
     generating set and never passes for a non-generating image of an
     equal-genus surface group.
     """
-    target = canonicalize(target)
     for w in images:
         if not contains(target, w):
             return False
@@ -152,7 +150,6 @@ def _base_context(v: VirtualAutomorphism, cover: Optional[Subgroup]):
         if not isinstance(pres, SurfacePresentation):
             raise ValueError("cover-based vaut needs its cover for evaluation")
         return pres, lambda w: tuple(w)
-    cover = canonicalize(cover)
     if not isinstance(cover.pres, SurfacePresentation):
         raise ValueError("cover must live over a surface presentation")
     system = schreier_system(cover)
@@ -179,8 +176,8 @@ def validate_vaut(
 ) -> None:
     """Raise IdentificationInvalid unless v is a certified isomorphism."""
     base, to_base = _base_context(v, cover)
-    dom = canonicalize(v.domain)
-    cod = canonicalize(v.codomain)
+    dom = v.domain
+    cod = v.codomain
     if dom.pres != cod.pres:
         raise IdentificationInvalid("domain and codomain over different presentations")
     if dom.index != cod.index:
@@ -225,7 +222,6 @@ def validate_vaut(
 
 
 def identity_vaut(sub: Subgroup) -> VirtualAutomorphism:
-    sub = canonicalize(sub)
     gens = schreier_generators(sub)
     return VirtualAutomorphism(sub, sub, gens, gens)
 
@@ -249,8 +245,8 @@ def from_two_arrow(
     cycle: TwoArrowCycle, config: Optional[RunConfig] = None
 ) -> VirtualAutomorphism:
     cfg = config or DEFAULT_CONFIG
-    alpha = canonicalize(cycle.alpha)
-    beta = canonicalize(cycle.beta)
+    alpha = cycle.alpha
+    beta = cycle.beta
     if alpha.pres != beta.pres:
         raise IdentificationInvalid("arrows over different presentations")
     if alpha.index != beta.index:
@@ -277,7 +273,6 @@ def vaut_from_automorphism(
     """Restrict a verified ambient automorphism to a finite-index subgroup."""
     if not phi.verified:
         raise ValueError("automorphism must carry verified inverse images")
-    domain = canonicalize(domain)
     codomain = twisted_subgroup(domain, tuple(phi.inverse_images))
     images = tuple(apply_automorphism(phi, s) for s in schreier_generators(domain))
     inverse_images = tuple(
@@ -328,12 +323,11 @@ def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
     orbit is finite, so closure under the images gives closure under
     their inverses.
     """
-    dom = canonicalize(v.domain)
-    s = canonicalize(s)
+    dom = v.domain
     if s.pres != dom.pres:
         raise ValueError("target subgroup over a different presentation")
-    label = {s.basepoint: 0}
-    order = [s.basepoint]
+    label = {0: 0}
+    order = [0]
     table = []
     for c in order:  # grows while it is walked
         row = []
@@ -344,7 +338,7 @@ def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
                 order.append(d)
             row.append(label[d])
         table.append(tuple(row))
-    rel = canonicalize(Subgroup(reidemeister_schreier(dom), tuple(table), 0))
+    rel = Subgroup(reidemeister_schreier(dom), tuple(table))
     return flatten_cover_subgroup(dom, rel)
 
 
@@ -360,14 +354,12 @@ def inverse(
     """
     cfg = config or DEFAULT_CONFIG
     if v.inverse_images is not None:
-        return VirtualAutomorphism(
-            canonicalize(v.codomain), canonicalize(v.domain), v.inverse_images, v.images
-        )
+        return VirtualAutomorphism(v.codomain, v.domain, v.inverse_images, v.images)
     pres = v.domain.pres
     if not isinstance(pres, SurfacePresentation):
         raise NotInvertible("witness-free inversion needs the base surface group")
-    dom = canonicalize(v.domain)
-    cod = canonicalize(v.codomain)
+    dom = v.domain
+    cod = v.codomain
     dom_gens = schreier_generators(dom)
     targets = schreier_generators(cod)
     m = len(v.images)
@@ -445,13 +437,13 @@ class CyclePath:
         current = full_subgroup(pres)
         for arrow, direction in self.legs:
             if direction == "down":
-                if canonicalize(arrow.super) != current:
+                if arrow.super != current:
                     raise ValueError("down-leg does not start at the current cover")
-                current = canonicalize(arrow.sub)
+                current = arrow.sub
             elif direction == "up":
-                if canonicalize(arrow.sub) != current:
+                if arrow.sub != current:
                     raise ValueError("up-leg does not start at the current cover")
-                current = canonicalize(arrow.super)
+                current = arrow.super
             else:
                 raise ValueError(f"bad direction {direction!r}")
         if current != full_subgroup(pres):
@@ -469,7 +461,7 @@ def cycle_from_subgroups(subgroups: Sequence[Subgroup]) -> CyclePath:
         raise ValueError("need an odd number of intermediate covers")
     pres = subgroups[0].pres
     root = full_subgroup(pres)
-    chain = [root] + [canonicalize(s) for s in subgroups] + [root]
+    chain = [root, *subgroups, root]
     legs: list[tuple[CoveringArrow, str]] = []
     for a, b in zip(chain, chain[1:]):
         arrow_down = factor_through(b, a)
@@ -523,7 +515,6 @@ def is_mcl_witness(v: VirtualAutomorphism, candidate: Subgroup) -> bool:
     exist; otherwise this representative does not witness anything and the
     answer is False.
     """
-    candidate = canonicalize(candidate)
     if candidate.pres != v.domain.pres:
         return False
     if not is_subgroup_of(candidate, v.domain):
@@ -547,7 +538,7 @@ def bounded_mcl_search(
         v_inv = inverse(v, cfg)
     except NotInvertible:
         v_inv = None
-    candidate = canonicalize(v.domain)
+    candidate = v.domain
     for _ in range(max(depth, 0) + 1):
         if is_mcl_witness(v, candidate):
             return candidate
@@ -564,8 +555,8 @@ def bounded_mcl_search(
 
 def caut_witness(v: VirtualAutomorphism, char: CharSubgroup) -> bool:
     """True iff v setwise fixes the given certified characteristic subgroup."""
-    sub = canonicalize(char.subgroup)
-    if not is_subgroup_of(sub, canonicalize(v.domain)):
+    sub = char.subgroup
+    if not is_subgroup_of(sub, v.domain):
         return False
     return is_mcl_witness(v, sub)
 
@@ -588,9 +579,8 @@ def rebase_vaut(
     raised.
     """
     cfg = config or DEFAULT_CONFIG
-    cover = canonicalize(cover)
-    dom = canonicalize(v.domain)
-    cod = canonicalize(v.codomain)
+    dom = v.domain
+    cod = v.codomain
     if not restrict:
         if not (is_subgroup_of(dom, cover) and is_subgroup_of(cod, cover)):
             raise NotRestrictable(

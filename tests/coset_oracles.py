@@ -1,0 +1,46 @@
+"""Reference arithmetic on raw coset tables, independent of covertower.
+
+A raw table is a sequence of rows, ``rows[c][j]`` being the coset reached
+from ``c`` by generator j+1, together with a basepoint.  Nothing here calls
+the package, so a reference built from these helpers does not go through
+the ``Subgroup`` constructor it is meant to check.
+"""
+
+from collections import deque
+
+
+def alphabet(k):
+    """BFS scan order x1, x1^-1, x2, x2^-1, ..."""
+    return tuple(x for j in range(1, k + 1) for x in (j, -j))
+
+
+def inverse_rows(rows):
+    inv = [[0] * len(rows[0]) for _ in rows]
+    for c, row in enumerate(rows):
+        for j, d in enumerate(row):
+            inv[d][j] = c
+    return inv
+
+
+def walk(rows, inv, c, w):
+    for x in w:
+        c = rows[c][x - 1] if x > 0 else inv[c][-x - 1]
+    return c
+
+
+def bfs_canonical(rows, basepoint):
+    """Relabel by BFS from the basepoint, then rebuild the table."""
+    k = len(rows[0])
+    inv = inverse_rows(rows)
+    order = [basepoint]
+    label = {basepoint: 0}
+    queue = deque([basepoint])
+    while queue:
+        c = queue.popleft()
+        for letter in alphabet(k):
+            d = walk(rows, inv, c, (letter,))
+            if d not in label:
+                label[d] = len(order)
+                order.append(d)
+                queue.append(d)
+    return tuple(tuple(label[rows[old][j]] for j in range(k)) for old in order)

@@ -21,7 +21,6 @@ from covertower import (
     apply_automorphism,
     build_char_tower,
     builtin_test_automorphisms,
-    canonicalize,
     char_core,
     compose,
     compose_mobius,
@@ -138,13 +137,13 @@ def _sign_kernel_intersection_table():
 
 def test_char_cores_match_kernel_intersection_oracle(pres2, index_two_subgroups):
     with _criterion("characteristic cores of all index-2 covers", 10):
-        oracle = canonicalize(Subgroup(pres2, _sign_kernel_intersection_table(), 0))
+        oracle = Subgroup(pres2, _sign_kernel_intersection_table())
         assert oracle.index == 16
         assert len(index_two_subgroups) == 15
         for sub in index_two_subgroups:
             core = char_core(sub)
-            assert canonicalize(core.subgroup) == oracle
-        assert canonicalize(homology_cover(pres2, 2).subgroup) == oracle
+            assert core.subgroup == oracle
+        assert homology_cover(pres2, 2).subgroup == oracle
 
 
 def _transitive_sym3_hom_count():
@@ -325,7 +324,7 @@ def test_bundle_exponents_and_mumford_compatibility(pres2):
 
 def test_constructions_ignore_marking_choices(pres2, index_two_subgroups):
     with _criterion("cores and homology covers under remarkings", 30):
-        cover = canonicalize(homology_cover(pres2, 2).subgroup)
+        cover = homology_cover(pres2, 2).subgroup
         auts = [
             inner_automorphism(pres2, (1,)),
             inner_automorphism(pres2, (2, 3)),
@@ -335,11 +334,11 @@ def test_constructions_ignore_marking_choices(pres2, index_two_subgroups):
             images = tuple(
                 apply_automorphism(phi, (j,)) for j in range(1, 5)
             )
-            assert canonicalize(twisted_subgroup(cover, images)) == cover
+            assert twisted_subgroup(cover, images) == cover
             for sub in index_two_subgroups[:5]:
                 moved = twisted_subgroup(sub, images)
-                assert canonicalize(char_core(moved).subgroup) == cover
-                assert canonicalize(char_core(sub).subgroup) == cover
+                assert char_core(moved).subgroup == cover
+                assert char_core(sub).subgroup == cover
 
 
 def _run_cli_pipeline(workspace, capsys):

@@ -13,7 +13,6 @@ from covertower import (
     apply_automorphism,
     build_char_tower,
     builtin_test_automorphisms,
-    canonicalize,
     char_core,
     char_core_within,
     char_order,
@@ -100,7 +99,7 @@ def test_char_core_of_index_two_is_the_homology_cover(pres2, index_two_subgroups
     cover = homology_cover(pres2, 2)
     for sub in index_two_subgroups[:4]:
         core = char_core(sub)
-        assert canonicalize(core.subgroup) == canonicalize(cover.subgroup)
+        assert core.subgroup == cover.subgroup
         assert core.certificate.kind == "hom-kernel-intersection"
         assert core.certificate.level == 2
         assert verify_certificate(core)
@@ -143,7 +142,7 @@ def test_fiber_product_of_homology_levels(pres2):
     six = fiber_product_preserves_char(two, three)
     assert six.certificate.kind == "homology-level"
     assert six.certificate.level == 6
-    assert canonicalize(six.subgroup) == canonicalize(homology_cover(pres2, 6).subgroup)
+    assert six.subgroup == homology_cover(pres2, 6).subgroup
     assert verify_certificate(six)
 
 
@@ -151,7 +150,7 @@ def test_fiber_product_reuses_parent_certificate(pres2):
     two = homology_cover(pres2, 2)
     four = homology_cover(pres2, 4)
     nested = fiber_product_preserves_char(two, four)
-    assert canonicalize(nested.subgroup) == canonicalize(four.subgroup)
+    assert nested.subgroup == four.subgroup
     assert nested.certificate.level == 4
 
 
@@ -203,11 +202,9 @@ def test_char_core_within_matches_mod_two_linear_algebra(index_two_subgroups):
         tuple(position[_f2_reduce(rep ^ (1 << j), basis)] for j in range(m))
         for rep in classes
     )
-    oracle = canonicalize(Subgroup(pres, table, position[0]))
-    assert canonicalize(within.relative) == oracle
-    assert canonicalize(within.absolute) == canonicalize(
-        flatten_cover_subgroup(ambient, oracle)
-    )
+    oracle = Subgroup(pres, table, position[0])
+    assert within.relative == oracle
+    assert within.absolute == flatten_cover_subgroup(ambient, oracle)
     assert is_subgroup_of(within.absolute, inner)
     assert within.absolute.index == 128
 
@@ -281,4 +278,4 @@ def test_char_core_step_in_tower(pres2):
     )
     cover = homology_cover(pres2, 2).subgroup
     node = next(nd for nd in tower.nodes if nd.degree == 16)
-    assert canonicalize(node.char.subgroup) == canonicalize(cover)
+    assert node.char.subgroup == cover

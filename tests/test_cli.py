@@ -3,8 +3,15 @@ import hashlib
 
 import pytest
 
-from covertower import RunConfig, store_doc, subgroup_doc, subgroup_from_doc
-from covertower.cli import main
+from covertower import (
+    CovertowerError,
+    IntersectionIndexOverflow,
+    RunConfig,
+    store_doc,
+    subgroup_doc,
+    subgroup_from_doc,
+)
+from covertower.cli import UsageError, main
 
 
 def _run(capsys, *argv):
@@ -298,6 +305,39 @@ def test_schema_error_exit_six(tmp_path, capsys):
     )
     assert code == 6
     assert json.loads(err)["error"] == "SchemaError"
+
+
+def test_forged_tower_edges_exit_six(tmp_path, capsys):
+    ws = str(tmp_path)
+    built = _run_json(
+        capsys, "--workspace", ws, "tower", "build", "--genus", "2", "--step", "homology:2"
+    )
+    reversed_edge = json.loads((tmp_path / built["file"]).read_text())
+    edge = reversed_edge["edges"][0]
+    edge["sub"], edge["super"] = edge["super"], edge["sub"]
+    wrong_degree = json.loads((tmp_path / built["file"]).read_text())
+    wrong_degree["edges"][0]["relativeDegree"] = 8
+    for doc in (reversed_edge, wrong_degree):
+        (tmp_path / "forged.json").write_text(json.dumps(doc))
+        code, out, err = _run(
+            capsys, "--workspace", ws, "ledger", "check", "--tower", "forged.json"
+        )
+        assert code == 6
+        assert out == ""
+        assert json.loads(err)["error"] == "SchemaError"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    classes = {CovertowerError, *_subclasses(CovertowerError)}
+    assert {UsageError, IntersectionIndexOverflow} <= classes
+    for cls in classes:
+        assert cls.exit_code in {2, 3, 4, 5, 6}, cls
 
 
 @pytest.mark.parametrize(

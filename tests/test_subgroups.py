@@ -4,13 +4,13 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from coset_oracles import bfs_canonical
 from covertower import (
     NotNormal,
     NotTransitive,
     RelatorViolated,
     Subgroup,
     SurfacePresentation,
-    canonicalize,
     conjugate_subgroup,
     conjugate_word,
     contains,
@@ -20,6 +20,7 @@ from covertower import (
     flatten_cover_subgroup,
     free_reduce,
     full_subgroup,
+    handle_swap,
     homology_cover,
     intersect,
     is_identity,
@@ -31,6 +32,8 @@ from covertower import (
     restrict_to_cover,
     rewrite_in_schreier_generators,
     schreier_generators,
+    subgroup_doc,
+    subgroup_from_doc,
     substitute,
     twisted_subgroup,
 )
@@ -61,19 +64,26 @@ def test_make_subgroup_validation(pres2):
         make_subgroup(pres2, [(1, 2, 0), (1, 0, 2), (0, 1, 2), (0, 1, 2)])
 
 
-def test_canonicalize_idempotent(pres2):
+def test_constructor_is_idempotent(pres2):
     for sub in low_index_subgroups(pres2, 3):
-        again = canonicalize(sub)
-        assert again == canonicalize(again)
+        assert Subgroup(sub.pres, sub.table).table == sub.table
 
 
-def test_equality_ignores_the_canonical_flag(pres2):
+def test_equality_is_on_the_canonical_table(pres2):
+    # The same subgroup given by a table with its cosets relabelled by a
+    # permutation sigma, and its basepoint at sigma(0).
     table = homology_cover(pres2, 3).subgroup.table
-    plain = Subgroup(pres2, table, 0, False)
-    flagged = Subgroup(pres2, table, 0, True)
-    assert plain == flagged
-    assert hash(plain) == hash(flagged)
-    assert len({plain, flagged}) == 1
+    sigma = list(range(len(table)))
+    random.Random(53).shuffle(sigma)
+    relabelled = [None] * len(table)
+    for c, row in enumerate(table):
+        relabelled[sigma[c]] = tuple(sigma[d] for d in row)
+    assert tuple(relabelled) != table
+    moved = Subgroup(pres2, tuple(relabelled), sigma[0])
+    plain = Subgroup(pres2, table)
+    assert moved == plain
+    assert hash(moved) == hash(plain)
+    assert len({moved, plain}) == 1
 
 
 def test_covering_genus_and_schreier_counts(pres2, index_two_subgroups):
@@ -95,7 +105,7 @@ def test_schreier_generators_are_members(pres2, index_two_subgroups):
 
 def test_rewritten_relators_die_in_the_ambient_group(index_two_subgroups):
     sub = index_two_subgroups[0]
-    system = schreier_system(canonicalize(sub))
+    system = schreier_system(sub)
     pres = reidemeister_schreier(sub)
     assert pres.generator_count == 7
     for relator in pres.relators:
@@ -138,7 +148,7 @@ def test_membership_matches_coset_action(pres2, index_two_subgroups):
     for sub in index_two_subgroups[:4]:
         for _ in range(60):
             w = _random_word(rng, 4, 12)
-            assert contains(sub, w) == (sub.act_word(sub.basepoint, w) == sub.basepoint)
+            assert contains(sub, w) == (sub.act_word(0, w) == 0)
 
 
 def test_conjugation_semantics(pres2):
@@ -156,16 +166,13 @@ def test_conjugation_semantics(pres2):
 def test_normality(pres2, index_two_subgroups):
     for sub in index_two_subgroups:
         assert is_normal(sub)
-        assert canonicalize(conjugate_subgroup(sub, (1,))) == canonicalize(sub)
+        assert conjugate_subgroup(sub, (1,)) == sub
     non_normal = [
         s for s in low_index_subgroups(pres2, 3) if s.index == 3 and not is_normal(s)
     ]
     assert non_normal
     sub = non_normal[0]
-    assert any(
-        canonicalize(conjugate_subgroup(sub, (j,))) != canonicalize(sub)
-        for j in range(1, 5)
-    )
+    assert any(conjugate_subgroup(sub, (j,)) != sub for j in range(1, 5))
 
 
 def test_intersection_properties(pres2, index_two_subgroups):
@@ -174,17 +181,17 @@ def test_intersection_properties(pres2, index_two_subgroups):
     assert inter.index == 4
     assert is_subgroup_of(inter, a)
     assert is_subgroup_of(inter, b)
-    assert canonicalize(intersect(b, a)) == canonicalize(inter)
-    assert canonicalize(intersect(a, a)) == canonicalize(a)
+    assert intersect(b, a) == inter
+    assert intersect(a, a) == a
     c = index_two_subgroups[2]
     left = intersect(intersect(a, b), c)
     right = intersect(a, intersect(b, c))
-    assert canonicalize(left) == canonicalize(right)
+    assert left == right
 
 
 def test_intersection_table_is_built_canonical(pres2):
-    # intersect returns its BFS table as-is, so that table must already be
-    # what canonicalize makes of it, whatever the inputs' basepoints.
+    # The intersection table must be in BFS order from coset 0, whatever
+    # the inputs' basepoints; the order is checked on the raw rows.
     rng = random.Random(23)
     pool = low_index_subgroups(pres2, 3)
     for _ in range(300):
@@ -193,8 +200,7 @@ def test_intersection_table_is_built_canonical(pres2):
             for s in rng.sample(pool, 2)
         )
         inter = intersect(a, b)
-        assert inter.basepoint == 0
-        assert inter.table == canonicalize(Subgroup(pres2, inter.table, 0)).table
+        assert inter.table == bfs_canonical(inter.table, 0)
 
 
 def test_rewrite_in_schreier_generators(pres2, index_two_subgroups):
@@ -223,11 +229,9 @@ def test_factor_through(pres2, index_two_subgroups):
     arrow = factor_through(inter, a)
     assert arrow is not None
     assert arrow.relative_degree == 2
-    sub = canonicalize(inter)
-    sup = canonicalize(a)
-    for coset in range(sub.index):
+    for coset in range(inter.index):
         for letter in (1, -2, 3):
-            assert arrow.coset_map[sub.act_letter(coset, letter)] == sup.act_letter(
+            assert arrow.coset_map[inter.act_letter(coset, letter)] == a.act_letter(
                 arrow.coset_map[coset], letter
             )
     assert factor_through(a, b) is None
@@ -238,13 +242,40 @@ def test_restrict_and_flatten_round_trip(index_two_subgroups):
     inner = intersect(outer, index_two_subgroups[3])
     relative = restrict_to_cover(inner, outer)
     assert relative.index * outer.index == inner.index
-    assert canonicalize(flatten_cover_subgroup(outer, relative)) == canonicalize(inner)
+    assert flatten_cover_subgroup(outer, relative) == inner
 
 
 def test_twisted_by_generators_is_identity(index_two_subgroups):
-    sub = canonicalize(index_two_subgroups[0])
+    sub = index_two_subgroups[0]
     words = tuple((j,) for j in range(1, 5))
-    assert canonicalize(twisted_subgroup(sub, words)) == sub
+    assert twisted_subgroup(sub, words) == sub
+
+
+def test_constructions_validate_once(pres2, monkeypatch):
+    # A loaded document, a twisted table and a relative table each go
+    # through the Subgroup constructor once: validated and relabelled in
+    # one pass, with no second canonical copy.
+    cover = homology_cover(pres2, 8).subgroup
+    assert cover.index == 4096
+    doc = subgroup_doc(cover)
+    mod2 = homology_cover(pres2, 2).subgroup
+    swap = handle_swap(pres2)
+    runs = []
+    post_init = Subgroup.__post_init__
+
+    def counted(self, *args):
+        runs.append(self)
+        post_init(self, *args)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    assert subgroup_from_doc(doc) == cover
+    assert len(runs) == 1
+    runs.clear()
+    assert twisted_subgroup(cover, swap.inverse_images) == cover
+    assert len(runs) == 1
+    runs.clear()
+    assert restrict_to_cover(cover, mod2).index == 256
+    assert len(runs) == 1
 
 
 def test_deck_group(pres2):

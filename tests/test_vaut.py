@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coset_oracles import bfs_canonical, inverse_rows, walk
 from covertower import (
     IdentificationInvalid,
     Subgroup,
@@ -13,7 +14,6 @@ from covertower import (
     apply_vaut,
     apply_vaut_inverse,
     bounded_mcl_search,
-    canonicalize,
     caut_witness,
     compose,
     contains,
@@ -103,7 +103,7 @@ def test_vaut_from_handle_swap(pres, h1):
     phi = handle_swap(pres)
     v = vaut_from_automorphism(phi, h1)
     validate_vaut(v)
-    assert canonicalize(v.codomain) != canonicalize(h1)
+    assert v.codomain != h1
     gens = schreier_generators(h1)
     for g in gens:
         assert contains(v.codomain, apply_vaut(v, g))
@@ -131,8 +131,8 @@ def test_apply_and_inverse_round_trip(pres, h1):
 def test_preimage_under_identity_is_intersection(h1, h2):
     v = identity_vaut(h1)
     four = intersect(h1, h2)
-    assert canonicalize(preimage_subgroup(v, four)) == canonicalize(four)
-    assert canonicalize(preimage_subgroup(v, h1)) == canonicalize(h1)
+    assert preimage_subgroup(v, four) == four
+    assert preimage_subgroup(v, h1) == h1
 
 
 def test_preimage_respects_membership(pres, h1, h2):
@@ -147,26 +147,30 @@ def test_preimage_respects_membership(pres, h1, h2):
 
 def _preimage_by_full_permutations(v, s):
     """Reference preimage: every image permutes every coset of s, and the
-    basepoint's orbit is found under the images and their inverses."""
-    dom = canonicalize(v.domain)
-    s = canonicalize(s)
-    perms = [tuple(s.act_word(c, img) for c in range(s.index)) for img in v.images]
+    basepoint's orbit is found under the images and their inverses.  The
+    images act on the raw rows of s, and the relative table is put in BFS
+    order here, not by the Subgroup constructor."""
+    rows = s.table
+    inv = inverse_rows(rows)
+    perms = [
+        tuple(walk(rows, inv, c, img) for c in range(len(rows))) for img in v.images
+    ]
     inv_perms = []
     for p in perms:
         q = [0] * len(p)
         for i, x in enumerate(p):
             q[x] = i
         inv_perms.append(q)
-    label = {s.basepoint: 0}
-    order = [s.basepoint]
+    label = {0: 0}
+    order = [0]
     for c in order:
         for p in perms + inv_perms:
             if p[c] not in label:
                 label[p[c]] = len(order)
                 order.append(p[c])
     table = tuple(tuple(label[p[c]] for p in perms) for c in order)
-    rel = canonicalize(Subgroup(reidemeister_schreier(dom), table, 0))
-    return flatten_cover_subgroup(dom, rel)
+    rel = Subgroup(reidemeister_schreier(v.domain), bfs_canonical(table, 0))
+    return flatten_cover_subgroup(v.domain, rel)
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +316,7 @@ def test_rebase_round_trip(pres, h1):
     v = identity_vaut(h1)
     k2 = homology_cover(pres, 2).subgroup
     rb = rebase_vaut(v, k2)
-    assert canonicalize(rb.cover) == canonicalize(k2)
+    assert rb.cover == k2
     back = rebase_back(rb)
     assert germ_equals(back, v)
 
