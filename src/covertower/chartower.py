@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import (
+    CoveringArrow,
     Subgroup,
     contains,
     covering_genus,
@@ -406,19 +407,23 @@ def char_core_within(
     config: Optional[RunConfig] = None,
 ) -> RelativeCharSubgroup:
     """char_core of ``inner`` computed inside the cover group of ``ambient``."""
-    cfg = config or DEFAULT_CONFIG
-    amb = _subgroup_of(ambient)
-    if not is_subgroup_of(inner, amb):
+    arrow = factor_through(inner, _subgroup_of(ambient))
+    if arrow is None:
         raise InconsistentInput("inner subgroup is not contained in the ambient cover")
-    rel = restrict_to_cover(inner, amb)
-    n_rel = rel.index
-    core = _hom_kernel_core(rel.pres, n_rel, cfg)
+    return _relative_core(arrow, restrict_to_cover(arrow), config or DEFAULT_CONFIG)
+
+
+def _relative_core(
+    arrow: CoveringArrow, rel: Subgroup, cfg: RunConfig
+) -> RelativeCharSubgroup:
+    """char_core_within for ``rel = restrict_to_cover(arrow)``."""
+    core = _hom_kernel_core(rel.pres, rel.index, cfg)
     assert is_subgroup_of(core, rel)
     assert is_normal(core)
-    absolute = flatten_cover_subgroup(amb, core)
-    assert is_subgroup_of(absolute, inner)
-    cert = CharCertificate("hom-kernel-intersection", level=n_rel)
-    return RelativeCharSubgroup(amb, core, absolute, cert)
+    absolute = flatten_cover_subgroup(arrow.super, core)
+    assert is_subgroup_of(absolute, arrow.sub)
+    cert = CharCertificate("hom-kernel-intersection", level=rel.index)
+    return RelativeCharSubgroup(arrow.super, core, absolute, cert)
 
 
 _CONSTRUCTIVE_KINDS = ("hom-kernel-intersection", "homology-level", "intersection")
@@ -437,11 +442,15 @@ def char_order(
     relative cover gives "yes"; anything undecided under budget stays
     "unknown".
     """
-    cfg = config or DEFAULT_CONFIG
-    b = _subgroup_of(beta)
-    a = _subgroup_of(alpha)
-    if not is_subgroup_of(b, a):
-        return "no"
+    arrow = factor_through(_subgroup_of(beta), _subgroup_of(alpha))
+    return "no" if arrow is None else _arrow_tag(beta, arrow, config or DEFAULT_CONFIG)
+
+
+def _arrow_tag(
+    beta: Union[Subgroup, CharSubgroup], arrow: CoveringArrow, cfg: RunConfig
+) -> str:
+    """char_order of ``beta`` over the covering arrow it already has."""
+    b, a = arrow.sub, arrow.super
     if b == a:
         return "yes"
     if a.index == 1:
@@ -454,21 +463,14 @@ def char_order(
         except (BudgetExceeded, IndexOverflow):
             return "unknown"
         return "yes" if core.subgroup == b else "unknown"
-    rel = restrict_to_cover(b, a)
+    rel = restrict_to_cover(arrow)
     if not is_normal(rel):
         return "no"
     try:
-        within = char_core_within(a, b, cfg)
+        within = _relative_core(arrow, rel, cfg)
     except (BudgetExceeded, IndexOverflow):
         return "unknown"
     return "yes" if within.relative == rel else "unknown"
-
-
-def cofinality_witness(
-    sub: Subgroup, config: Optional[RunConfig] = None
-) -> CharSubgroup:
-    """A certified characteristic subgroup contained in ``sub``."""
-    return char_core(sub, config)
 
 
 def fiber_product_preserves_char(
@@ -635,7 +637,7 @@ def build_char_tower(
             arrow = factor_through(ni.char.subgroup, nj.char.subgroup)
             if arrow is None:
                 continue
-            tag = char_order(ni.char, nj.char, cfg)
+            tag = _arrow_tag(ni.char, arrow, cfg)
             edges.append(
                 TowerEdge(
                     sub=ni.name,

@@ -137,6 +137,8 @@ def _rational_matrix(text: str):
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("matrix needs four entries a,b,c,d")
     a, b, c, d = (_rational(p) for p in parts)
+    if a * d - b * c < 0:
+        raise argparse.ArgumentTypeError("orientation-reversing matrices are not admitted")
     return ((a, b), (c, d))
 
 
@@ -164,25 +166,29 @@ def _point(text: str) -> UpperHalfPoint:
     return UpperHalfPoint(x, y)
 
 
+def _count(text: str, least: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{what} needs an integer") from exc
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{what} must be at least {least}")
+    return value
+
+
 def _step(text: str) -> dict:
     kind, _, rest = text.partition(":")
     if kind == "homology":
-        try:
-            return {"kind": "homology", "n": int(rest)}
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError("homology step needs an integer") from exc
+        return {"kind": "homology", "n": _count(rest, 1, "homology step")}
     if kind == "char-core":
         parts = rest.split(",")
         if len(parts) != 2:
             raise argparse.ArgumentTypeError("char-core step needs index,ordinal")
-        try:
-            return {
-                "kind": "char-core",
-                "index": int(parts[0]),
-                "ordinal": int(parts[1]),
-            }
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError("char-core step needs integers") from exc
+        return {
+            "kind": "char-core",
+            "index": _count(parts[0], 1, "char-core index"),
+            "ordinal": _count(parts[1], 0, "char-core ordinal"),
+        }
     if kind == "subgroup":
         if not rest:
             raise argparse.ArgumentTypeError("subgroup step needs a file")

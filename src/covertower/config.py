@@ -25,6 +25,13 @@ class RunConfig:
     # only feeds test-style sampling helpers.
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # Every field but the seed is a cap; a solve length of 0 is allowed.
+        for name, value in asdict(self).items():
+            least = 0 if name == "max_solve_length" else 1
+            if name != "seed" and (type(value) is not int or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
     def to_json(self) -> dict:
         return asdict(self)
 

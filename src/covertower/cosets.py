@@ -13,10 +13,14 @@ basepoint is always coset 0.  Two subgroups are equal iff their canonical
 tables are identical, which makes subgroup equality a tuple comparison.
 
 Every orbit walk that builds or checks a table (the constructor itself,
-intersection, conjugation, tables from permutations, flattening a relative
-table, and the kernel and homology tables of ``chartower``) goes through
-one primitive, ``_orbit_rows``: it labels the orbit of a start state in
-that same BFS order, so the rows it returns are canonical by construction.
+intersection, tables from permutations, flattening a relative table, and
+the kernel and homology tables of ``chartower``) goes through one
+primitive, ``_orbit_rows``: it labels the orbit of a start state in that
+same BFS order, so the rows it returns are canonical by construction.  A
+conjugate is the constructor at a moved basepoint, not a walk of its own.
+Containment and normality are one coset-map walk, ``_coset_map``: H <= K
+iff H's cosets map equivariantly to K's with 0 going to 0, and H is normal
+iff its cosets map to themselves with 0 going to each neighbour of 0.
 """
 
 from __future__ import annotations
@@ -264,9 +268,7 @@ def schreier_system(sub: Subgroup) -> SchreierSystem:
     transversal: list[Optional[Word]] = [None] * n
     transversal[0] = ()
     tree: set[tuple[int, int]] = set()
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
+    for c in range(n):  # cosets are labelled in BFS order: this is the BFS
         for letter in alphabet:
             d = sub.act_letter(c, letter)
             if transversal[d] is None:
@@ -276,7 +278,6 @@ def schreier_system(sub: Subgroup) -> SchreierSystem:
                     tree.add((c, letter))
                 else:
                     tree.add((d, -letter))
-                queue.append(d)
     edges: list[tuple[int, int]] = []
     gens: list[Word] = []
     for c in range(n):
@@ -350,10 +351,8 @@ def reidemeister_schreier(sub: Subgroup) -> GenericPresentation:
 
 
 def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
-    """True iff every Schreier generator of ``a`` lies in ``b``."""
-    if a.pres != b.pres:
-        raise ValueError("subgroups of different presentations")
-    return all(contains(b, s) for s in schreier_generators(a))
+    """True iff ``a`` is contained in ``b``: a covering arrow a -> b exists."""
+    return factor_through(a, b) is not None
 
 
 def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subgroup:
@@ -380,8 +379,9 @@ def conjugate_subgroup(sub: Subgroup, w: Iterable[int]) -> Subgroup:
 
 
 def is_normal(sub: Subgroup) -> bool:
-    k = sub.pres.generator_count
-    return all(conjugate_subgroup(sub, (j,)) == sub for j in range(1, k + 1))
+    """True iff the conjugate by each generator x_j, the stabilizer of 0.x_j,
+    is ``sub``: iff the coset graph has an automorphism taking 0 to 0.x_j."""
+    return all(_coset_map(sub, sub, c) is not None for c in set(sub.table[0]) - {0})
 
 
 @dataclass(frozen=True)
@@ -394,55 +394,49 @@ class CoveringArrow:
     coset_map: tuple[int, ...]  # cosets of sub -> cosets of super
 
 
+def _coset_map(beta: Subgroup, alpha: Subgroup, start: int) -> Optional[list[int]]:
+    """Equivariant map of beta's cosets to alpha's sending 0 to ``start``, or
+    None: it exists iff beta lies in the stabilizer of alpha's coset ``start``."""
+    f = [start] + [-1] * (beta.index - 1)
+    pairs = ((beta.table, alpha.table), (beta.inverse_table, alpha.inverse_table))
+    # beta's cosets are labelled in BFS order, so f[c] is set before c is walked.
+    for c in range(beta.index):
+        e = f[c]
+        for beta_rows, alpha_rows in pairs:
+            for d, image in zip(beta_rows[c], alpha_rows[e]):
+                if f[d] < 0:
+                    f[d] = image
+                elif f[d] != image:
+                    return None
+    return f
+
+
 def factor_through(beta: Subgroup, alpha: Subgroup) -> Optional[CoveringArrow]:
-    """Equivariant basepoint-preserving map of coset spaces, if beta <= alpha."""
+    """Equivariant basepoint-preserving map of coset spaces, if beta <= alpha.
+
+    Both spaces are transitive, so the map is onto with equal-size fibres."""
     if beta.pres != alpha.pres:
         raise ValueError("subgroups of different presentations")
-    k = beta.pres.generator_count
-    f: list[Optional[int]] = [None] * beta.index
-    f[0] = 0
-    queue = deque([0])
-    alphabet = _alphabet(k)
-    while queue:
-        c = queue.popleft()
-        for letter in alphabet:
-            d = beta.act_letter(c, letter)
-            e = alpha.act_letter(f[c], letter)
-            if f[d] is None:
-                f[d] = e
-                queue.append(d)
-            elif f[d] != e:
-                return None
-    assert all(x is not None for x in f)
-    if beta.index % alpha.index != 0:
+    f = _coset_map(beta, alpha, 0)
+    if f is None:
         return None
-    return CoveringArrow(
-        beta, alpha, beta.index // alpha.index, tuple(f)  # type: ignore[arg-type]
-    )
+    return CoveringArrow(beta, alpha, beta.index // alpha.index, tuple(f))
 
 
 # ---------------------------------------------------------------------------
 # Relative tables: a subgroup of a cover, and flattening back to the base.
 
 
-def restrict_to_cover(inner: Subgroup, outer: Subgroup) -> Subgroup:
-    """Coset table of ``inner`` inside ``outer``, over outer's Schreier generators.
-
-    Requires inner <= outer.  The resulting Subgroup lives over the
-    Reidemeister-Schreier presentation of ``outer``.
-    """
-    arrow = factor_through(inner, outer)
-    if arrow is None:
-        raise ValueError("inner is not contained in outer")
-    system = schreier_system(outer)
-    pres = reidemeister_schreier(outer)
-    fiber = [c for c in range(inner.index) if arrow.coset_map[c] == 0]
+def restrict_to_cover(arrow: CoveringArrow) -> Subgroup:
+    """Coset table of ``arrow.sub`` inside ``arrow.super``: the fibre over its
+    coset 0, over the Reidemeister-Schreier presentation of ``arrow.super``."""
+    generators = schreier_system(arrow.super).generators
+    fiber = [c for c, e in enumerate(arrow.coset_map) if e == 0]
     relabel = {c: i for i, c in enumerate(fiber)}
     table = tuple(
-        tuple(relabel[inner.act_word(c, g)] for g in system.generators)
-        for c in fiber
+        tuple(relabel[arrow.sub.act_word(c, g)] for g in generators) for c in fiber
     )
-    return Subgroup(pres, table)
+    return Subgroup(reidemeister_schreier(arrow.super), table)
 
 
 def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:

@@ -555,10 +555,7 @@ def bounded_mcl_search(
 
 def caut_witness(v: VirtualAutomorphism, char: CharSubgroup) -> bool:
     """True iff v setwise fixes the given certified characteristic subgroup."""
-    sub = char.subgroup
-    if not is_subgroup_of(sub, v.domain):
-        return False
-    return is_mcl_witness(v, sub)
+    return is_mcl_witness(v, char.subgroup)
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +576,16 @@ def rebase_vaut(
     raised.
     """
     cfg = config or DEFAULT_CONFIG
-    dom = v.domain
-    cod = v.codomain
-    if not restrict:
-        if not (is_subgroup_of(dom, cover) and is_subgroup_of(cod, cover)):
-            raise NotRestrictable(
-                "domain or codomain is not contained in the requested cover"
-            )
-        small = dom
-    else:
-        into = preimage_subgroup(v, cover)
-        small = intersect(into, cover)
+    small = intersect(preimage_subgroup(v, cover), cover) if restrict else v.domain
     v_inv = inverse(v, cfg)
     image = preimage_subgroup(v_inv, small)
+    dom_arrow = factor_through(small, cover)
+    cod_arrow = factor_through(image, cover)
+    if dom_arrow is None or cod_arrow is None:
+        raise NotRestrictable("domain or codomain is not contained in the requested cover")
     system = schreier_system(cover)
-    rel_dom = restrict_to_cover(small, cover)
-    rel_cod = restrict_to_cover(image, cover)
+    rel_dom = restrict_to_cover(dom_arrow)
+    rel_cod = restrict_to_cover(cod_arrow)
     images = []
     for gen in schreier_generators(rel_dom):
         base_word = substitute(system.generators, gen)

@@ -41,6 +41,7 @@ from covertower import (
     verify_certificate,
     words_equal,
 )
+from covertower import chartower, cosets
 from covertower.cosets import Subgroup
 
 
@@ -254,6 +255,38 @@ def test_build_char_tower(pres2):
     assert tags[(16, 1)] == "yes"
     assert tags[(256, 1)] == "yes"
     assert tags[(256, 16)] == "unknown"
+
+
+def test_tower_edges_reuse_their_arrows(pres2, ledger_tower_steps, monkeypatch):
+    # Normality is a coset-map walk, not a conjugate per generator, and each
+    # non-root edge restricts its own arrow once.
+    calls = {"conjugate_subgroup": 0, "restrict_to_cover": 0}
+    for module in (cosets, chartower):
+        for name in calls:
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    tower = build_char_tower(pres2, ledger_tower_steps)
+    degree = {node.name: node.degree for node in tower.nodes}
+    edges = {
+        (degree[e.sub], degree[e.super]): (e.relative_degree, e.char_tag)
+        for e in tower.edges
+    }
+    assert edges == {
+        (16, 1): (16, "yes"),
+        (81, 1): (81, "yes"),
+        (1296, 1): (1296, "yes"),
+        (1296, 16): (81, "unknown"),
+        (1296, 81): (16, "unknown"),
+        (4096, 1): (4096, "yes"),
+        (4096, 16): (256, "unknown"),
+    }
+    assert calls == {"conjugate_subgroup": 0, "restrict_to_cover": 3}
 
 
 def test_tower_rejects_non_invariant_bare_subgroup(pres2, index_two_subgroups):

@@ -242,6 +242,50 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert not (tmp_path / "ws").exists()
 
 
+@pytest.mark.parametrize("step", ["homology:0", "homology:-2", "char-core:0,0"])
+def test_bad_tower_steps_exit_two(tmp_path, capsys, step):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--workspace", str(tmp_path / "ws"), "tower", "build",
+              "--genus", "2", "--step", step])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "ws").exists()
+
+
+def test_orientation_reversing_matrix_exits_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--workspace", str(tmp_path), "genus1", "act",
+              "--matrix", "1,0,0,-1", "--point", "1+2i"])
+    assert excinfo.value.code == 2
+    assert "orientation-reversing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"max_index": -3}, {"max_search_nodes": 0}, {"max_result_index": True},
+     {"max_hom_degree": 2.0}, {"max_solve_length": -1}],
+)
+def test_bad_config_caps_exit_six(tmp_path, capsys, fields):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(fields))
+    code, out, err = _run(
+        capsys, "--workspace", str(tmp_path), "--config", str(cfg_path),
+        "enumerate", "--genus", "2", "--max-index", "2",
+    )
+    assert code == 6
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+def test_config_caps_must_be_positive_integers():
+    assert RunConfig(max_solve_length=0).max_solve_length == 0
+    for name in ("max_index", "max_search_nodes", "max_hom_degree",
+                 "max_hom_assignments", "max_result_index", "max_solve_length"):
+        for bad in (-1, False, 1.5, "3"):
+            with pytest.raises(ValueError):
+                RunConfig(**{name: bad})
+
+
 def test_budget_exit_three(tmp_path, capsys):
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(RunConfig(max_search_nodes=10).to_json()))

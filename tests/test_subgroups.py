@@ -11,6 +11,7 @@ from covertower import (
     RelatorViolated,
     Subgroup,
     SurfacePresentation,
+    build_char_tower,
     conjugate_subgroup,
     conjugate_word,
     contains,
@@ -175,6 +176,66 @@ def test_normality(pres2, index_two_subgroups):
     assert any(conjugate_subgroup(sub, (j,)) != sub for j in range(1, 5))
 
 
+def _column_group_has_order_index(sub):
+    # H is normal iff G acts on H\G through a group of order |G:H|: the
+    # closure of the table's columns under composition, as plain tuples.
+    n = sub.index
+    columns = [tuple(row[j] for row in sub.table) for j in range(len(sub.table[0]))]
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for q in columns:
+            pq = tuple(q[i] for i in p)
+            if pq not in group:
+                group.add(pq)
+                frontier.append(pq)
+    return len(group) == n
+
+
+def test_normality_matches_the_permutation_group_order(pres2, ledger_tower_steps):
+    subs = low_index_subgroups(pres2, 3)
+    assert len(subs) == 236
+    # Index-3 relative covers inside an index-2 cover, over its 7 Schreier
+    # generators.
+    h = subs[1]
+    inside_h = [
+        restrict_to_cover(factor_through(intersect(h, s), h))
+        for s in subs
+        if s.index == 3
+    ]
+    # The relative covers of the tower's non-root edges, over presentations
+    # with 49 and 244 generators.
+    tower = build_char_tower(pres2, ledger_tower_steps)
+    node = {nd.name: nd.char.subgroup for nd in tower.nodes}
+    edges = [
+        restrict_to_cover(factor_through(node[e.sub], node[e.super]))
+        for e in tower.edges
+        if node[e.super].index > 1
+    ]
+    assert sorted(rel.index for rel in edges) == [16, 81, 256]
+    for group, normal_count in ((subs, 56), (inside_h, 52), (edges, 3)):
+        outcomes = [is_normal(sub) for sub in group]
+        assert sum(outcomes) == normal_count
+        assert outcomes == [_column_group_has_order_index(sub) for sub in group]
+
+
+def test_normality_builds_no_subgroup(pres2, monkeypatch):
+    cover = homology_cover(pres2, 8).subgroup
+    assert cover.index == 4096
+    runs = []
+    post_init = Subgroup.__post_init__
+
+    def counted(self, *args):
+        runs.append(self)
+        post_init(self, *args)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    assert is_normal(cover)
+    assert runs == []
+
+
 def test_intersection_properties(pres2, index_two_subgroups):
     a, b = index_two_subgroups[0], index_two_subgroups[1]
     inter = intersect(a, b)
@@ -240,7 +301,7 @@ def test_factor_through(pres2, index_two_subgroups):
 def test_restrict_and_flatten_round_trip(index_two_subgroups):
     outer = index_two_subgroups[0]
     inner = intersect(outer, index_two_subgroups[3])
-    relative = restrict_to_cover(inner, outer)
+    relative = restrict_to_cover(factor_through(inner, outer))
     assert relative.index * outer.index == inner.index
     assert flatten_cover_subgroup(outer, relative) == inner
 
@@ -274,7 +335,7 @@ def test_constructions_validate_once(pres2, monkeypatch):
     assert twisted_subgroup(cover, swap.inverse_images) == cover
     assert len(runs) == 1
     runs.clear()
-    assert restrict_to_cover(cover, mod2).index == 256
+    assert restrict_to_cover(factor_through(cover, mod2)).index == 256
     assert len(runs) == 1
 
 
