@@ -14,6 +14,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -196,6 +197,9 @@ def _step(text: str) -> dict:
     raise argparse.ArgumentTypeError(f"unknown step kind {kind!r}")
 
 
+_genus = partial(_count, least=2, what="genus")
+
+
 def _fraction_doc(q) -> dict:
     q = Fraction(q)
     return {"num": q.numerator, "den": q.denominator}
@@ -215,16 +219,8 @@ def _point_out(p: UpperHalfPoint) -> dict:
 # Command handlers.
 
 
-def _surface(genus: int) -> SurfacePresentation:
-    if genus < 2:
-        raise UsageError("--genus must be at least 2")
-    return SurfacePresentation(genus)
-
-
 def _cmd_enumerate(args) -> int:
-    pres = _surface(args.genus)
-    if args.max_index < 1:
-        raise UsageError("--max-index must be at least 1")
+    pres = SurfacePresentation(args.genus)
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     subs = low_index_subgroups(pres, args.max_index, cfg)
@@ -268,9 +264,7 @@ def _cmd_char_core(args) -> int:
 
 
 def _cmd_char_homology(args) -> int:
-    pres = _surface(args.genus)
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
+    pres = SurfacePresentation(args.genus)
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     cover = homology_cover(pres, args.n, cfg)
@@ -297,7 +291,7 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_tower_build(args) -> int:
-    pres = _surface(args.genus)
+    pres = SurfacePresentation(args.genus)
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     steps = []
@@ -469,8 +463,16 @@ def _cmd_genus1_orbit(args) -> int:
 # Parser assembly.
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser (and, by inheritance, subparsers) whose errors print as JSON."""
+
+    def error(self, message: str):
+        _diagnose(UsageError(message))
+        sys.exit(UsageError.exit_code)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covertower",
         description="Exact computations in towers of surface coverings.",
     )
@@ -483,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list subgroups up to an index bound")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--genus", type=_genus, required=True)
+    p.add_argument("--max-index", type=partial(_count, least=1, what="max-index"), required=True)
     p.set_defaults(func=_cmd_enumerate)
 
     char = sub.add_parser("char", help="characteristic subgroup constructions")
@@ -493,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subgroup", required=True)
     p.set_defaults(func=_cmd_char_core)
     p = char_sub.add_parser("homology", help="mod-n homology cover")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--genus", type=_genus, required=True)
+    p.add_argument("--n", type=partial(_count, least=1, what="n"), required=True)
     p.set_defaults(func=_cmd_char_homology)
 
     p = sub.add_parser("intersect", help="fiber product of two covers")
@@ -505,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     tower = sub.add_parser("tower", help="tower assembly")
     tower_sub = tower.add_subparsers(dest="tower_command", required=True)
     p = tower_sub.add_parser("build", help="build a tower from steps")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_genus, required=True)
     p.add_argument("--step", action="append", type=_step)
     p.add_argument("--dot", action="store_true", help="also write a DOT file")
     p.set_defaults(func=_cmd_tower_build)

@@ -21,13 +21,16 @@ conjugate is the constructor at a moved basepoint, not a walk of its own.
 Containment and normality are one coset-map walk, ``_coset_map``: H <= K
 iff H's cosets map equivariantly to K's with 0 going to 0, and H is normal
 iff its cosets map to themselves with 0 going to each neighbour of 0.
+Each subgroup builds its own Schreier system once, as ``sub.schreier``,
+whose ``edge_ids`` label the coset graph's edges, so Reidemeister rewriting
+never hashes or compares a table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import InitVar, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -111,6 +114,10 @@ class Subgroup:
     @cached_property
     def inverse_table(self) -> tuple[tuple[int, ...], ...]:
         return _inverse_rows(self.table, self.pres.generator_count)
+
+    @cached_property
+    def schreier(self) -> SchreierSystem:
+        return _schreier_system(self)
 
     @property
     def index(self) -> int:
@@ -248,52 +255,47 @@ def covering_genus(sub: Subgroup) -> int:
 
 @dataclass(frozen=True)
 class SchreierSystem:
-    """BFS Schreier transversal plus the non-tree Schreier generators."""
+    """A subgroup's BFS Schreier system, as the rows that rewriting walks.
 
-    sub: Subgroup
-    transversal: tuple[Word, ...]
-    edges: tuple[tuple[int, int], ...]  # non-tree (coset, generator) pairs
-    generators: tuple[Word, ...]  # one word per non-tree edge, in BFS order
+    ``edge_ids[c][j-1]`` is 0 if the edge from coset c along x_j is in the
+    transversal tree, else i+1 for the i-th non-tree edge in (c, j) order,
+    whose Schreier generator is ``generators[i]``.  It holds the subgroup's
+    rows but not the subgroup, so no reference cycle keeps either alive.
+    """
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
+    table: tuple[tuple[int, ...], ...]
+    inverse_table: tuple[tuple[int, ...], ...]
+    edge_ids: tuple[tuple[int, ...], ...]
+    generators: tuple[Word, ...]
 
 
-@lru_cache(maxsize=4096)
-def schreier_system(sub: Subgroup) -> SchreierSystem:
+def _schreier_system(sub: Subgroup) -> SchreierSystem:
+    """Build the Schreier system of ``sub``; read it as ``sub.schreier``."""
     n = sub.index
     k = sub.pres.generator_count
     alphabet = _alphabet(k)
-    transversal: list[Optional[Word]] = [None] * n
-    transversal[0] = ()
-    tree: set[tuple[int, int]] = set()
+    transversal: list[Optional[Word]] = [()] + [None] * (n - 1)
+    ids = [[-1] * k for _ in range(n)]
     for c in range(n):  # cosets are labelled in BFS order: this is the BFS
         for letter in alphabet:
             d = sub.act_letter(c, letter)
             if transversal[d] is None:
                 transversal[d] = free_reduce(transversal[c] + (letter,))
-                # Record the tree edge in positive form.
-                if letter > 0:
-                    tree.add((c, letter))
-                else:
-                    tree.add((d, -letter))
-    edges: list[tuple[int, int]] = []
+                # Mark the tree edge in positive form: c.x = d or d.x = c.
+                ids[c if letter > 0 else d][abs(letter) - 1] = 0
     gens: list[Word] = []
-    for c in range(n):
-        for j in range(1, k + 1):
-            if (c, j) in tree:
-                continue
-            d = sub.table[c][j - 1]
-            word = free_reduce(transversal[c] + (j,) + inverse_word(transversal[d]))
-            edges.append((c, j))
-            gens.append(word)
-    return SchreierSystem(sub, tuple(transversal), tuple(edges), tuple(gens))
+    for c, row in enumerate(ids):
+        for j, d in enumerate(sub.table[c]):
+            if row[j]:
+                gens.append(free_reduce(transversal[c] + (j + 1,) + inverse_word(transversal[d])))
+                row[j] = len(gens)
+    edge_ids = tuple(tuple(row) for row in ids)
+    return SchreierSystem(sub.table, sub.inverse_table, edge_ids, tuple(gens))
 
 
 def schreier_generators(sub: Subgroup) -> tuple[Word, ...]:
     """Non-trivial Schreier generators; there are N*k - (N-1) of them."""
-    return schreier_system(sub).generators
+    return sub.schreier.generators
 
 
 def rewrite_from(system: SchreierSystem, start: int, w: Iterable[int]) -> tuple[Word, int]:
@@ -303,29 +305,26 @@ def rewrite_from(system: SchreierSystem, start: int, w: Iterable[int]) -> tuple[
     the final coset.  When ``w`` lies in the subgroup and ``start`` is the
     basepoint the result expresses ``w`` in the Schreier generators.
     """
-    sub = system.sub
-    idx = system.edge_index
+    table, inverse_table, edge_ids = system.table, system.inverse_table, system.edge_ids
     out: list[int] = []
     c = start
     for x in w:
         if x > 0:
-            e = (c, x)
-            if e in idx:
-                out.append(idx[e] + 1)
-            c = sub.act_letter(c, x)
+            e = edge_ids[c][x - 1]
+            if e:
+                out.append(e)
+            c = table[c][x - 1]
         else:
-            d = sub.act_letter(c, x)
-            e = (d, -x)
-            if e in idx:
-                out.append(-(idx[e] + 1))
-            c = d
+            c = inverse_table[c][-x - 1]
+            e = edge_ids[c][-x - 1]
+            if e:
+                out.append(-e)
     return free_reduce(out), c
 
 
 def rewrite_in_schreier_generators(sub: Subgroup, w: Iterable[int]) -> Word:
     w = validate_word(sub.pres, w)
-    system = schreier_system(sub)
-    rewritten, end = rewrite_from(system, 0, w)
+    rewritten, end = rewrite_from(sub.schreier, 0, w)
     if end != 0:
         raise ValueError("word is not in the subgroup")
     return rewritten
@@ -333,7 +332,7 @@ def rewrite_in_schreier_generators(sub: Subgroup, w: Iterable[int]) -> Word:
 
 def reidemeister_schreier(sub: Subgroup) -> GenericPresentation:
     """Presentation of the subgroup on its Schreier generators."""
-    system = schreier_system(sub)
+    system = sub.schreier
     relators: list[Word] = []
     seen: set[Word] = set()
     for r in sub.pres.relators:
@@ -430,7 +429,7 @@ def factor_through(beta: Subgroup, alpha: Subgroup) -> Optional[CoveringArrow]:
 def restrict_to_cover(arrow: CoveringArrow) -> Subgroup:
     """Coset table of ``arrow.sub`` inside ``arrow.super``: the fibre over its
     coset 0, over the Reidemeister-Schreier presentation of ``arrow.super``."""
-    generators = schreier_system(arrow.super).generators
+    generators = arrow.super.schreier.generators
     fiber = [c for c, e in enumerate(arrow.coset_map) if e == 0]
     relabel = {c: i for i, c in enumerate(fiber)}
     table = tuple(
@@ -446,19 +445,22 @@ def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
     presentation of ``outer``; the result is the corresponding subgroup of
     the ambient group, of index index(outer) * index(relative).
     """
-    system = schreier_system(outer)
+    system = outer.schreier
     if relative.pres.generator_count != len(system.generators):
         raise ValueError("relative table does not match the cover's generators")
-    idx = system.edge_index
+    table, inverse_table, edge_ids = system.table, system.inverse_table, system.edge_ids
 
     def step(state: tuple[int, int], letter: int) -> tuple[int, int]:
         d, e = state
-        nd = outer.act_letter(d, letter)
-        edge = (d, letter) if letter > 0 else (nd, -letter)
-        if edge in idx:
-            gen = idx[edge] + 1
-            e = relative.act_letter(e, gen if letter > 0 else -gen)
-        return nd, e
+        if letter > 0:
+            gen = edge_ids[d][letter - 1]
+            d = table[d][letter - 1]
+        else:
+            d = inverse_table[d][-letter - 1]
+            gen = -edge_ids[d][-letter - 1]
+        if gen:
+            e = relative.act_letter(e, gen)
+        return d, e
 
     return _orbit_table(outer.pres, (0, 0), step)
 

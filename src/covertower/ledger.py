@@ -255,10 +255,10 @@ def ledger_report(
             compatible = True
         except IncompatibleTower:
             compatible = False
+        # An incompatible tower carries no universal bundle to compare.
+        mumford = compatible and universal_mumford_check(m, tower)
         checks.append({"name": f"compatibility-m{m}", "pass": compatible})
-        checks.append(
-            {"name": f"universal-mumford-m{m}", "pass": universal_mumford_check(m, tower)}
-        )
+        checks.append({"name": f"universal-mumford-m{m}", "pass": mumford})
     checks.append({"name": "wp-coherence", "pass": wp_coherence(tower)})
     checks.append(
         {

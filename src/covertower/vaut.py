@@ -36,7 +36,6 @@ from .cosets import (
     restrict_to_cover,
     rewrite_in_schreier_generators,
     schreier_generators,
-    schreier_system,
     twisted_subgroup,
 )
 from .chartower import Automorphism, CharSubgroup, apply_automorphism
@@ -152,8 +151,8 @@ def _base_context(v: VirtualAutomorphism, cover: Optional[Subgroup]):
         return pres, lambda w: tuple(w)
     if not isinstance(cover.pres, SurfacePresentation):
         raise ValueError("cover must live over a surface presentation")
-    system = schreier_system(cover)
-    return cover.pres, lambda w: substitute(system.generators, w)
+    generators = cover.schreier.generators
+    return cover.pres, lambda w: substitute(generators, w)
 
 
 def apply_vaut(v: VirtualAutomorphism, w: Iterable[int]) -> Word:
@@ -583,21 +582,18 @@ def rebase_vaut(
     cod_arrow = factor_through(image, cover)
     if dom_arrow is None or cod_arrow is None:
         raise NotRestrictable("domain or codomain is not contained in the requested cover")
-    system = schreier_system(cover)
+    generators = cover.schreier.generators
     rel_dom = restrict_to_cover(dom_arrow)
     rel_cod = restrict_to_cover(cod_arrow)
-    images = []
-    for gen in schreier_generators(rel_dom):
-        base_word = substitute(system.generators, gen)
-        img = apply_vaut(v, base_word)
-        images.append(rewrite_in_schreier_generators(cover, img))
-    inverse_images = []
-    for gen in schreier_generators(rel_cod):
-        base_word = substitute(system.generators, gen)
-        img = apply_vaut(v_inv, base_word)
-        inverse_images.append(rewrite_in_schreier_generators(cover, img))
+
+    def over_cover(u: VirtualAutomorphism, rel: Subgroup) -> tuple[Word, ...]:
+        return tuple(
+            rewrite_in_schreier_generators(cover, apply_vaut(u, substitute(generators, g)))
+            for g in schreier_generators(rel)
+        )
+
     out = VirtualAutomorphism(
-        rel_dom, rel_cod, tuple(images), tuple(inverse_images)
+        rel_dom, rel_cod, over_cover(v, rel_dom), over_cover(v_inv, rel_cod)
     )
     validate_vaut(out, cfg, cover=cover)
     return RebasedVaut(cover, out)
@@ -607,7 +603,7 @@ def apply_rebased(rb: RebasedVaut, w: Iterable[int]) -> Word:
     """Apply a rebased germ to an ambient word of its flattened domain."""
     over_cover = rewrite_in_schreier_generators(rb.cover, w)
     image = apply_vaut(rb.vaut, over_cover)
-    return substitute(schreier_system(rb.cover).generators, image)
+    return substitute(rb.cover.schreier.generators, image)
 
 
 def rebase_back(

@@ -17,7 +17,7 @@ longer than half the relator terminates at the empty word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 Word = Tuple[int, ...]
@@ -95,6 +95,18 @@ class SurfacePresentation:
     def relators(self) -> tuple[Word, ...]:
         return (self.relator,)
 
+    @cached_property
+    def symmetrized_relators(self) -> tuple[Word, ...]:
+        """Cyclic rotations of the relator and of its inverse, for Dehn's algorithm."""
+        r = self.relator
+        out: list[Word] = []
+        for base in (r, inverse_word(r)):
+            for i in range(len(base)):
+                out.append(base[i:] + base[:i])
+        # The rotations are pairwise distinct for the surface relator; keep a
+        # deterministic order anyway.
+        return tuple(dict.fromkeys(out))
+
 
 @dataclass(frozen=True)
 class GenericPresentation:
@@ -131,24 +143,12 @@ def validate_word(pres: Presentation, w: Iterable[int]) -> Word:
     return w
 
 
-@lru_cache(maxsize=None)
-def _symmetrized_relators(genus: int) -> tuple[Word, ...]:
-    r = SurfacePresentation(genus).relator
-    out: list[Word] = []
-    for base in (r, inverse_word(r)):
-        for i in range(len(base)):
-            out.append(base[i:] + base[:i])
-    # The rotations are pairwise distinct for the surface relator; keep a
-    # deterministic order anyway.
-    return tuple(dict.fromkeys(out))
-
-
 def dehn_reduce(pres: SurfacePresentation, w: Iterable[int]) -> Word:
     """Greedy Dehn reduction of ``w``; identity words reduce to ()."""
     if not isinstance(pres, SurfacePresentation):
         raise TypeError("Dehn reduction is defined for surface presentations")
     word = free_reduce(w)
-    rels = _symmetrized_relators(pres.genus)
+    rels = pres.symmetrized_relators
     length = 4 * pres.genus
     half = length // 2
     changed = True

@@ -1,6 +1,6 @@
 import pytest
 
-from covertower import SurfacePresentation, low_index_subgroups
+from covertower import SurfacePresentation, homology_cover, low_index_subgroups
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +11,12 @@ def pres2():
 @pytest.fixture(scope="session")
 def index_two_subgroups(pres2):
     return [s for s in low_index_subgroups(pres2, 2) if s.index == 2]
+
+
+@pytest.fixture(scope="session")
+def mod4_cover(pres2):
+    """The mod-4 homology cover of genus 2, of index 256."""
+    return homology_cover(pres2, 4).subgroup
 
 
 @pytest.fixture(scope="session")

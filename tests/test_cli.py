@@ -217,28 +217,34 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--workspace", str(tmp_path), "no-such-verb"])
     assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "UsageError"
     with pytest.raises(SystemExit) as excinfo:
         main(["--workspace", str(tmp_path), "genus1", "act", "--matrix", "1,2,3"])
     assert excinfo.value.code == 2
     capsys.readouterr()
-    for genus, max_index in (("1", "2"), ("2", "0")):
-        code, out, err = _run(
-            capsys, "--workspace", str(tmp_path / "ws"), "enumerate",
-            "--genus", genus, "--max-index", max_index,
-        )
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"] == "UsageError"
+    # Out-of-range integers are refused by the argument converters.
     for argv in (
+        ("enumerate", "--genus", "1", "--max-index", "2"),
+        ("enumerate", "--genus", "2", "--max-index", "0"),
         ("char", "homology", "--genus", "2", "--n", "0"),
         ("char", "homology", "--genus", "1", "--n", "2"),
         ("tower", "build", "--genus", "1", "--step", "homology:2"),
-        ("genus1", "orbit", "--target", "1+2i", "--eps", "0"),
     ):
-        code, out, err = _run(capsys, "--workspace", str(tmp_path / "ws"), *argv)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"] == "UsageError"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--workspace", str(tmp_path / "ws"), *argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "UsageError"
+    code, out, err = _run(
+        capsys, "--workspace", str(tmp_path / "ws"),
+        "genus1", "orbit", "--target", "1+2i", "--eps", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
     assert not (tmp_path / "ws").exists()
 
 
@@ -248,7 +254,9 @@ def test_bad_tower_steps_exit_two(tmp_path, capsys, step):
         main(["--workspace", str(tmp_path / "ws"), "tower", "build",
               "--genus", "2", "--step", step])
     assert excinfo.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "UsageError"
     assert not (tmp_path / "ws").exists()
 
 
@@ -257,7 +265,9 @@ def test_orientation_reversing_matrix_exits_two(tmp_path, capsys):
         main(["--workspace", str(tmp_path), "genus1", "act",
               "--matrix", "1,0,0,-1", "--point", "1+2i"])
     assert excinfo.value.code == 2
-    assert "orientation-reversing" in capsys.readouterr().err
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "UsageError"
+    assert "orientation-reversing" in diagnostic["message"]
 
 
 @pytest.mark.parametrize(

@@ -175,14 +175,36 @@ def test_forged_genus_is_rejected(tower):
         universal_bundle(2, forged)
 
 
-def test_forged_edge_degree_is_rejected(tower):
+def _double_edge_degrees(tower):
     edges = tuple(
         edge.__class__(edge.sub, edge.super, edge.relative_degree * 2, edge.char_tag)
         for edge in tower.edges
     )
-    forged = TowerGraph(tower.pres, tower.nodes, edges)
+    return TowerGraph(tower.pres, tower.nodes, edges)
+
+
+def test_forged_edge_degree_is_rejected(tower):
     with pytest.raises(IncompatibleTower):
-        universal_bundle(2, forged)
+        universal_bundle(2, _double_edge_degrees(tower))
+
+
+def test_ledger_report_records_a_forged_edge_degree(tower):
+    report = ledger_report(_double_edge_degrees(tower), [0, 2])
+    assert {check["name"]: check["pass"] for check in report["checks"]} == {
+        "compatibility-m0": False,
+        "universal-mumford-m0": False,
+        "compatibility-m2": False,
+        "universal-mumford-m2": False,
+        "wp-coherence": False,
+        "serre-duality": True,
+    }
+    # A node whose genus contradicts its degree is still refused outright.
+    nodes = tuple(
+        TowerNode(n.name, n.char, n.genus + 1, n.degree) if n.degree == 16 else n
+        for n in tower.nodes
+    )
+    with pytest.raises(IncompatibleTower):
+        ledger_report(TowerGraph(tower.pres, nodes, tower.edges), [0])
 
 
 def test_ledger_report_shape(tower):

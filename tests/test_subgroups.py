@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import random
+import weakref
 
 import pytest
 from sympy import Matrix
@@ -38,7 +41,7 @@ from covertower import (
     substitute,
     twisted_subgroup,
 )
-from covertower.cosets import schreier_system
+from covertower import cosets
 
 
 def _random_word(rng, k, max_len):
@@ -106,7 +109,7 @@ def test_schreier_generators_are_members(pres2, index_two_subgroups):
 
 def test_rewritten_relators_die_in_the_ambient_group(index_two_subgroups):
     sub = index_two_subgroups[0]
-    system = schreier_system(sub)
+    system = sub.schreier
     pres = reidemeister_schreier(sub)
     assert pres.generator_count == 7
     for relator in pres.relators:
@@ -267,7 +270,7 @@ def test_intersection_table_is_built_canonical(pres2):
 def test_rewrite_in_schreier_generators(pres2, index_two_subgroups):
     rng = random.Random(29)
     sub = intersect(index_two_subgroups[0], index_two_subgroups[1])
-    system = schreier_system(sub)
+    system = sub.schreier
     members = nonmembers = 0
     for _ in range(200):
         w = _random_word(rng, 4, 12)
@@ -282,6 +285,54 @@ def test_rewrite_in_schreier_generators(pres2, index_two_subgroups):
     assert members and nonmembers
     with pytest.raises(ValueError):
         rewrite_in_schreier_generators(sub, (5,))
+
+
+def test_each_schreier_generator_rewrites_to_its_own_letter(pres2, mod4_cover):
+    # The i-th generator t_c x t_d^-1 crosses exactly one non-tree edge, the
+    # i-th, so rewriting it must give the single letter i+1.
+    subs = [*low_index_subgroups(pres2, 3), mod4_cover]
+    assert len(subs) == 237
+    for sub in subs:
+        for i, gen in enumerate(schreier_generators(sub)):
+            assert rewrite_in_schreier_generators(sub, gen) == (i + 1,)
+
+
+def test_mod_four_cover_schreier_generators_are_pinned(mod4_cover):
+    # Digest of the generators as the table-keyed cache built them.
+    digest = hashlib.sha256(repr(schreier_generators(mod4_cover)).encode()).hexdigest()
+    assert digest == "91eec425fe4dc96f638e3dcbb85118918208b0b9bd3c37f8dd556b4069c3a186"
+
+
+def test_schreier_system_is_built_once_per_instance(pres2, monkeypatch):
+    builds = []
+    build = cosets._schreier_system
+
+    def counted(sub):
+        builds.append(sub)
+        return build(sub)
+
+    monkeypatch.setattr(cosets, "_schreier_system", counted)
+    table = homology_cover(pres2, 2).subgroup.table
+    sub, twin = Subgroup(pres2, table), Subgroup(pres2, table)
+    for _ in range(3):
+        for gen in schreier_generators(sub):
+            rewrite_in_schreier_generators(sub, gen)
+    assert len(builds) == 1 and builds[0] is sub
+    rewrite_in_schreier_generators(twin, ())
+    assert len(builds) == 2 and builds[1] is twin
+
+
+def test_schreier_system_does_not_keep_its_subgroup_alive(pres2):
+    sub = Subgroup(pres2, homology_cover(pres2, 2).subgroup.table)
+    system = sub.schreier
+    ref = weakref.ref(sub)
+    gc.disable()
+    try:
+        del sub
+        assert ref() is None  # freed by refcount: no sub -> system -> sub cycle
+    finally:
+        gc.enable()
+    assert len(system.generators) == len(system.table) * 3 + 1
 
 
 def test_factor_through(pres2, index_two_subgroups):

@@ -173,11 +173,6 @@ def _preimage_by_full_permutations(v, s):
     return flatten_cover_subgroup(v.domain, rel)
 
 
-@pytest.fixture(scope="module")
-def mod4_cover(pres):
-    return homology_cover(pres, 4).subgroup
-
-
 def test_preimage_matches_full_permutation_oracle(pres, index_two_subgroups):
     phi = handle_swap(pres)
     nontrivial_orbits = 0
@@ -235,6 +230,29 @@ def test_compose_with_inverse_is_identity_germ(pres, h1):
     w = inverse(v)
     round_trip = compose(v, w)
     assert germ_equals(round_trip, identity_vaut(h1))
+
+
+def test_compose_on_the_mod_five_cover_hashes_no_subgroup(pres, monkeypatch):
+    # Rewriting reads each subgroup's own Schreier system, so composing
+    # never hashes or compares whole coset tables.
+    v = vaut_from_automorphism(handle_swap(pres), homology_cover(pres, 5).subgroup)
+    assert v.domain.index == 625
+    calls = {"eq": 0, "hash": 0}
+    eq, hash_ = Subgroup.__eq__, Subgroup.__hash__
+
+    def counted_eq(self, other):
+        calls["eq"] += 1
+        return eq(self, other)
+
+    def counted_hash(self):
+        calls["hash"] += 1
+        return hash_(self)
+
+    monkeypatch.setattr(Subgroup, "__eq__", counted_eq)
+    monkeypatch.setattr(Subgroup, "__hash__", counted_hash)
+    out = compose(v, inverse(v))
+    assert out.domain.index == 625
+    assert calls == {"eq": 0, "hash": 0}
 
 
 def test_compose_associativity(pres, h1):
