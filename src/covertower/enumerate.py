@@ -5,8 +5,10 @@ position x1, x1^-1, x2, x2^-1, ...), always branching on the first
 undefined cell and introducing fresh cosets in increasing order.  A
 completed table is therefore automatically in BFS-canonical form, so every
 subgroup of index <= max_index is produced exactly once, with no conjugacy
-collapsing.  Relator scans after each assignment force deductions and prune
-dead branches early.
+collapsing.  Each new cell goes on a deduction stack; popping it traces only
+the relator cycles that start with that cell, which forces further cells
+and prunes dead branches early.  A first-undefined pointer passed down the
+search only moves forward along a branch.
 """
 
 from __future__ import annotations
@@ -19,14 +21,22 @@ from .errors import BudgetExceeded
 from .words import Presentation
 
 
-def _letter(col: int) -> int:
-    """Alphabet position -> signed letter (0 -> +1, 1 -> -1, 2 -> +2, ...)."""
-    j = col // 2 + 1
-    return j if col % 2 == 0 else -j
-
-
 def _col(letter: int) -> int:
     return (letter - 1) * 2 if letter > 0 else (-letter - 1) * 2 + 1
+
+
+def _cycles(pres: Presentation) -> list[list[tuple[int, ...]]]:
+    """Distinct cyclic conjugates of the relators and their inverses, as
+    columns, bucketed by first column."""
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(2 * pres.generator_count)]
+    for r in pres.relators:
+        for w in (r, tuple(-x for x in reversed(r))):
+            cols = [_col(x) for x in w]
+            for i in range(len(cols)):
+                cyc = tuple(cols[i:] + cols[:i])
+                if cyc not in buckets[cyc[0]]:
+                    buckets[cyc[0]].append(cyc)
+    return buckets
 
 
 def low_index_subgroups(
@@ -42,98 +52,82 @@ def low_index_subgroups(
         raise BudgetExceeded(
             f"max_index {max_index} above configured cap {cfg.max_index}"
         )
-    k = pres.generator_count
-    width = 2 * k
-    relators = [tuple(r) for r in pres.relators]
-    tab = [[-1] * width for _ in range(max_index)]
-    state = {"n": 1, "nodes": 0}
+    width = 2 * pres.generator_count
+    buckets = _cycles(pres)
+    # A one-letter cycle has a gap before any of its cells is defined, so it
+    # is traced when its coset gets a first cell, as a full relator scan would.
+    units = [col for col in range(width) if (col,) in buckets[col]]
+    tab = [-1] * (max_index * width)
+    nodes = top = 0
     results: list[Subgroup] = []
 
-    def assign(c: int, col: int, d: int, trail: list[tuple[int, int]]) -> bool:
-        """Define cell (c, col) = d together with its mirror; False on clash."""
-        cur = tab[c][col]
-        if cur != -1:
-            return cur == d
-        mirror = tab[d][col ^ 1]
-        if mirror != -1 and mirror != c:
-            return False
-        tab[c][col] = d
-        trail.append((c, col))
-        if tab[d][col ^ 1] == -1:
-            tab[d][col ^ 1] = c
-            trail.append((d, col ^ 1))
+    def deduce(stack: list[tuple[int, int]], trail: list[int]) -> bool:
+        """Trace the cycles through each stacked cell; False on a clash."""
+        while stack:
+            c, x = stack.pop()
+            for cyc in buckets[x]:
+                length = len(cyc)
+                f, cf = 0, c
+                while f < length:
+                    nxt = tab[cf * width + cyc[f]]
+                    if nxt < 0:
+                        break
+                    cf = nxt
+                    f += 1
+                b, cb = length, c
+                while b > f:
+                    prev = tab[cb * width + (cyc[b - 1] ^ 1)]
+                    if prev < 0:
+                        break
+                    cb = prev
+                    b -= 1
+                if b == f:
+                    if cf != cb:
+                        return False
+                elif b == f + 1:
+                    # One gap: cf --y--> cb is forced; both cells are free.
+                    y = cyc[f]
+                    tab[cf * width + y] = cb
+                    tab[cb * width + (y ^ 1)] = cf
+                    trail += (cf * width + y, cb * width + (y ^ 1))
+                    stack.append((cf, y))
         return True
 
-    def scan_relators(trail: list[tuple[int, int]]) -> bool:
-        """Trace every relator at every coset, deducing forced cells."""
-        changed = True
-        while changed:
-            changed = False
-            for r in relators:
-                length = len(r)
-                for c in range(state["n"]):
-                    # Forward from the start.
-                    f, cf = 0, c
-                    while f < length:
-                        nxt = tab[cf][_col(r[f])]
-                        if nxt == -1:
-                            break
-                        cf = nxt
-                        f += 1
-                    # Backward from the end.
-                    b, cb = length, c
-                    while b > f:
-                        prev = tab[cb][_col(-r[b - 1])]
-                        if prev == -1:
-                            break
-                        cb = prev
-                        b -= 1
-                    if f == b:
-                        if cf != cb:
-                            return False
-                    elif f + 1 == b:
-                        before = len(trail)
-                        if not assign(cf, _col(r[f]), cb, trail):
-                            return False
-                        if len(trail) > before:
-                            changed = True
-        return True
-
-    def first_undefined() -> Optional[tuple[int, int]]:
-        for c in range(state["n"]):
-            for col in range(width):
-                if tab[c][col] == -1:
-                    return c, col
-        return None
-
-    def dfs() -> None:
-        cell = first_undefined()
-        if cell is None:
-            n = state["n"]
-            table = tuple(
-                tuple(tab[c][_col(j)] for j in range(1, k + 1)) for c in range(n)
-            )
+    def dfs(n: int, pos: int) -> None:
+        nonlocal nodes, top
+        top = max(top, n)
+        end = n * width
+        while pos < end and tab[pos] >= 0:
+            pos += 1
+        if pos == end:
+            table = tuple(tuple(tab[c * width : (c + 1) * width : 2]) for c in range(n))
             results.append(Subgroup(pres, table))
             return
-        c, col = cell
-        limit = state["n"] + (1 if state["n"] < max_index else 0)
-        for d in range(limit):
-            state["nodes"] += 1
-            if state["nodes"] > cfg.max_search_nodes:
+        c, col = divmod(pos, width)
+        for d in range(n + (n < max_index)):
+            nodes += 1
+            if nodes > cfg.max_search_nodes:
                 raise BudgetExceeded(
-                    f"enumeration exceeded {cfg.max_search_nodes} nodes"
+                    f"enumeration exceeded {cfg.max_search_nodes} nodes (visited "
+                    f"{cfg.max_search_nodes}, subgroups found {len(results)}, "
+                    f"largest index reached {top})"
                 )
-            grew = d == state["n"]
-            if grew:
-                state["n"] += 1
-            trail: list[tuple[int, int]] = []
-            if assign(c, col, d, trail) and scan_relators(trail):
-                dfs()
-            for cc, ccol in reversed(trail):
-                tab[cc][ccol] = -1
-            if grew:
-                state["n"] -= 1
+            mirror = d * width + (col ^ 1)
+            if tab[mirror] >= 0:
+                continue
+            tab[pos] = d
+            tab[mirror] = c
+            trail = [pos, mirror]
+            stack = [(c, col)]
+            if d == n:
+                stack += [(d, u) for u in units]
+            if pos == 0:  # coset 0 gets its first cell at the root
+                stack += [(0, u) for u in units]
+            if deduce(stack, trail):
+                dfs(n + (d == n), pos + 1)
+            for p in trail:
+                tab[p] = -1
 
-    dfs()
+    dfs(1, 0)
     results.sort(key=lambda s: (s.index, s.table))
     return results

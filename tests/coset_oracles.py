@@ -7,6 +7,7 @@ the ``Subgroup`` constructor it is meant to check.
 """
 
 from collections import deque
+from itertools import permutations, product
 
 
 def alphabet(k):
@@ -44,3 +45,22 @@ def bfs_canonical(rows, basepoint):
                 order.append(d)
                 queue.append(d)
     return tuple(tuple(label[rows[old][j]] for j in range(k)) for old in order)
+
+
+def transitive_tables(k, relators, max_index):
+    """Canonical tables of all subgroups of index <= max_index, by brute force.
+
+    Every k-tuple of permutations of {0..n-1} that is transitive and satisfies
+    the relators is relabelled by BFS from 0; the distinct results are sorted
+    by (index, table).
+    """
+    found = set()
+    for n in range(1, max_index + 1):
+        for perms in product(permutations(range(n)), repeat=k):
+            rows = tuple(tuple(p[c] for p in perms) for c in range(n))
+            inv = inverse_rows(rows)
+            if all(walk(rows, inv, c, r) == c for r in relators for c in range(n)):
+                table = bfs_canonical(rows, 0)
+                if len(table) == n:
+                    found.add(table)
+    return sorted(found, key=lambda t: (len(t), t))

@@ -5,9 +5,10 @@ from math import comb, factorial, prod
 
 import pytest
 
-from coset_oracles import bfs_canonical
+from coset_oracles import bfs_canonical, transitive_tables
 from covertower import (
     BudgetExceeded,
+    GenericPresentation,
     RunConfig,
     SurfacePresentation,
     is_normal,
@@ -57,9 +58,33 @@ def test_count_oracle_known_values():
     assert oracle_subgroup_counts(3, 3) == {1: 1, 2: 63, 3: 7_924}
 
 
+def _enumerate_at_exact_budget(pres, max_index, nodes):
+    """Enumerate within exactly ``nodes`` search nodes; one fewer must not do."""
+    with pytest.raises(BudgetExceeded):
+        low_index_subgroups(pres, max_index, RunConfig(max_search_nodes=nodes - 1))
+    return low_index_subgroups(pres, max_index, RunConfig(max_search_nodes=nodes))
+
+
+# The node counts pin the search tree: the branching order and the pruning.
 def test_counts_genus_two(pres2):
-    subs = low_index_subgroups(pres2, 4)
+    subs = _enumerate_at_exact_budget(pres2, 4, 142_344)
     assert _counts(subs) == oracle_subgroup_counts(2, 4)
+
+
+@pytest.mark.parametrize(
+    "pres, max_index, nodes",
+    [
+        (SurfacePresentation(2), 2, 88),
+        (SurfacePresentation(2), 3, 3_443),
+        # The one-letter relator closes a cycle at every coset, before any
+        # of its cells is defined; Z/4 has three subgroups.
+        (GenericPresentation(2, ((2,), (1, 1, 1, 1))), 4, 9),
+    ],
+)
+def test_search_node_counts(pres, max_index, nodes):
+    subs = _enumerate_at_exact_budget(pres, max_index, nodes)
+    want = transitive_tables(pres.generator_count, pres.relators, max_index)
+    assert [s.table for s in subs] == want
 
 
 def test_index_two_matches_sign_assignments(pres2):
@@ -73,9 +98,27 @@ def test_index_two_matches_sign_assignments(pres2):
 
 
 def test_counts_genus_three():
-    pres = SurfacePresentation(3)
-    subs = low_index_subgroups(pres, 3)
+    subs = _enumerate_at_exact_budget(SurfacePresentation(3), 3, 194_250)
     assert _counts(subs) == oracle_subgroup_counts(3, 3)
+
+
+@pytest.mark.parametrize(
+    "pres, max_index",
+    [
+        (SurfacePresentation(3), 2),
+        # Repeated letters: cyclic conjugates that coincide (A4 as the
+        # (2,3,3) triangle group, Z/6) or that share a first letter
+        # (Baumslag-Solitar BS(1, 2), a^-1 b a = b^2), and a one-letter
+        # relator (Z/2).
+        (GenericPresentation(2, ((1, 1), (2, 2, 2), (1, 2, 1, 2, 1, 2))), 5),
+        (GenericPresentation(2, ((1, 1, 1), (2, 2), (-1, -2, 1, 2))), 5),
+        (GenericPresentation(2, ((-1, 2, 1, -2, -2),)), 5),
+        (GenericPresentation(2, ((1,), (2, 2))), 5),
+    ],
+)
+def test_tables_match_brute_force_oracle(pres, max_index):
+    want = transitive_tables(pres.generator_count, pres.relators, max_index)
+    assert [s.table for s in low_index_subgroups(pres, max_index)] == want
 
 
 def test_emitted_tables_are_canonical_and_unique(pres2):
@@ -107,5 +150,9 @@ def test_index_three_normal_count(pres2):
 
 def test_node_budget(pres2):
     config = RunConfig(max_search_nodes=10)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as err:
         low_index_subgroups(pres2, 3, config)
+    assert str(err.value) == (
+        "enumeration exceeded 10 nodes "
+        "(visited 10, subgroups found 1, largest index reached 2)"
+    )
