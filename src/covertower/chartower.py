@@ -5,7 +5,8 @@ by quantifying over the full automorphism group:
 
 * hom-kernel-intersection: the intersection of the kernels of every
   homomorphism to the symmetric group on n points (automorphisms permute
-  the homomorphism set, so the intersection is invariant);
+  the homomorphism set, so the intersection is invariant), computed as the
+  intersection of all subgroups of index <= n;
 * homology-level: the kernel of the mod-n first-homology map, realized as
   a translation action on (Z/n)^(2g);
 * intersection: an intersection of two certified subgroups;
@@ -15,9 +16,8 @@ by quantifying over the full automorphism group:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -35,13 +35,13 @@ from .cosets import (
     restrict_to_cover,
     schreier_generators,
     _orbit_table,
-    _perm_mul,
 )
-from .enumerate import low_index_subgroups
+from .enumerate import _each_subgroup, low_index_subgroups
 from .errors import (
     BudgetExceeded,
     IndexOverflow,
     InconsistentInput,
+    IntersectionIndexOverflow,
     NotInvariant,
 )
 from .words import (
@@ -55,6 +55,9 @@ from .words import (
     is_identity,
     substitute,
     validate_word,
+    _exponent_row_mod2,
+    _f2_echelon,
+    _f2_reduce,
 )
 
 CharKind = str  # "hom-kernel-intersection" | "homology-level" | "intersection" | "supplied-aut-invariance"
@@ -163,108 +166,42 @@ def builtin_test_automorphisms(pres: SurfacePresentation) -> tuple[Automorphism,
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism enumeration into small symmetric groups.
-
-
-def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def _perm_of_word(assignment: Sequence[tuple[int, ...]], w: Iterable[int], n: int) -> tuple[int, ...]:
-    p = tuple(range(n))
-    for x in w:
-        q = assignment[abs(x) - 1]
-        if x < 0:
-            q = _perm_inverse(q)
-        p = _perm_mul(p, q)
-    return p
-
-
-def hom_enumeration(
-    pres: Presentation,
-    n: int,
-    config: Optional[RunConfig] = None,
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Every homomorphism to Sym(n) as a tuple of generator permutations.
-
-    Intransitive actions are included.  The list is in lexicographic order
-    of the permutation tuples.  For surface presentations the relator
-    condition is solved handle by handle via commutator buckets; generic
-    presentations fall back to a filtered product scan under budget.
-    """
-    cfg = config or DEFAULT_CONFIG
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cfg.max_hom_degree:
-        raise BudgetExceeded(f"hom degree {n} above cap {cfg.max_hom_degree}")
-    perms = list(itertools.permutations(range(n)))
-    identity = tuple(range(n))
-    if isinstance(pres, SurfacePresentation):
-        g = pres.genus
-        pairs: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-        bucket: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        for a in perms:
-            for b in perms:
-                c = _perm_mul(
-                    _perm_mul(_perm_mul(a, b), _perm_inverse(a)), _perm_inverse(b)
-                )
-                pairs.append((a, b, c))
-                bucket.setdefault(c, []).append((a, b))
-        out: list[tuple[tuple[int, ...], ...]] = []
-
-        def extend(handle: int, prefix: tuple, product: tuple[int, ...]) -> None:
-            if handle == g - 1:
-                for a, b in bucket.get(_perm_inverse(product), ()):
-                    out.append(prefix + (a, b))
-                return
-            for a, b, c in pairs:
-                extend(handle + 1, prefix + (a, b), _perm_mul(product, c))
-
-        extend(0, (), identity)
-        return out
-    # Generic presentation: raw product scan.
-    m = pres.generator_count
-    total = factorial(n) ** m
-    if total > cfg.max_hom_assignments:
-        raise BudgetExceeded(
-            f"{total} assignments above cap {cfg.max_hom_assignments}"
-        )
-    out = []
-    for assignment in itertools.product(perms, repeat=m):
-        if all(
-            _perm_of_word(assignment, r, n) == identity for r in pres.relators
-        ):
-            out.append(assignment)
-    return out
-
-
-def kernel_subgroup(pres: Presentation, assignment: Sequence[tuple[int, ...]]) -> Subgroup:
-    """Kernel of the homomorphism as a coset table (the regular image action)."""
-    n = len(assignment[0]) if assignment else 1
-    gens = [tuple(p) for p in assignment]
-    inverses = [_perm_inverse(p) for p in gens]
-    return _orbit_table(
-        pres,
-        tuple(range(n)),
-        lambda e, x: _perm_mul(e, gens[x - 1] if x > 0 else inverses[-x - 1]),
-    )
-
-
-def _hom_kernel_core(pres: Presentation, n: int, cfg: RunConfig) -> Subgroup:
-    """Intersection of the kernels of every homomorphism to Sym(n)."""
-    core = full_subgroup(pres)
-    for assignment in hom_enumeration(pres, n, cfg):
-        ker = kernel_subgroup(pres, assignment)
-        if not is_subgroup_of(core, ker):
-            core = intersect(core, ker, max_index=cfg.max_result_index)
-    return core
-
-
-# ---------------------------------------------------------------------------
 # Certified characteristic subgroups.
+
+
+def _kernel_core(pres: Presentation, n: int, cfg: RunConfig) -> Subgroup:
+    """Intersection of the kernels of every homomorphism to Sym(n).
+
+    A kernel is the intersection of its point stabilizers, each of index
+    <= n, and each subgroup of index <= n is such a stabilizer, so this
+    intersects the low-index search's subgroups as they are found.  At
+    n = 2 it is the mod-2 homology kernel: a word's coset is its reduced
+    exponent row mod 2.
+    """
+    cap = cfg.max_result_index
+    if n == 2:
+        basis = _f2_echelon(_exponent_row_mod2(r) for r in pres.relators)
+        index = 2 ** (pres.generator_count - len(basis))
+        if index > cap:
+            raise IntersectionIndexOverflow(f"core at n=2 has index {index}, above cap {cap}")
+        red = [_f2_reduce(basis, 1 << j) for j in range(pres.generator_count)]
+        return _orbit_table(pres, 0, lambda v, x: v ^ red[abs(x) - 1])
+    core, used = full_subgroup(pres), 0
+
+    def meet(s: Subgroup) -> None:
+        nonlocal core, used
+        used += 1
+        if not is_subgroup_of(core, s):
+            try:
+                core = intersect(core, s, cap)
+            except IntersectionIndexOverflow:
+                raise IntersectionIndexOverflow(
+                    f"core at n={n} exceeds index cap {cap} at subgroup {used} of "
+                    f"index <= {n}; the first {used - 1} intersect to index {core.index}"
+                ) from None
+
+    _each_subgroup(pres, n, cfg, meet)
+    return core
 
 
 @dataclass(frozen=True)
@@ -299,16 +236,14 @@ def char_core(sub: Subgroup, config: Optional[RunConfig] = None) -> CharSubgroup
     """Intersection of the kernels of all homomorphisms to Sym(index(sub)).
 
     The result is a characteristic subgroup contained in ``sub``.  The
-    enumeration includes intransitive actions.  Degree and intersection
-    caps come from the config; beyond them BudgetExceeded or
-    IntersectionIndexOverflow is raised.
+    low-index search is bounded by the config's ``max_index`` and
+    ``max_search_nodes`` (BudgetExceeded), the core by ``max_result_index``
+    (IntersectionIndexOverflow).
     """
-    cfg = config or DEFAULT_CONFIG
-    n = sub.index
-    core = _hom_kernel_core(sub.pres, n, cfg)
+    core = _kernel_core(sub.pres, sub.index, config or DEFAULT_CONFIG)
     assert is_subgroup_of(core, sub), "core must land inside the input"
     assert is_normal(core)
-    return CharSubgroup(core, CharCertificate("hom-kernel-intersection", level=n))
+    return CharSubgroup(core, CharCertificate("hom-kernel-intersection", level=sub.index))
 
 
 def homology_cover(
@@ -410,14 +345,8 @@ def char_core_within(
     arrow = factor_through(inner, _subgroup_of(ambient))
     if arrow is None:
         raise InconsistentInput("inner subgroup is not contained in the ambient cover")
-    return _relative_core(arrow, restrict_to_cover(arrow), config or DEFAULT_CONFIG)
-
-
-def _relative_core(
-    arrow: CoveringArrow, rel: Subgroup, cfg: RunConfig
-) -> RelativeCharSubgroup:
-    """char_core_within for ``rel = restrict_to_cover(arrow)``."""
-    core = _hom_kernel_core(rel.pres, rel.index, cfg)
+    rel = restrict_to_cover(arrow)
+    core = _kernel_core(rel.pres, rel.index, config or DEFAULT_CONFIG)
     assert is_subgroup_of(core, rel)
     assert is_normal(core)
     absolute = flatten_cover_subgroup(arrow.super, core)
@@ -453,24 +382,18 @@ def _arrow_tag(
     b, a = arrow.sub, arrow.super
     if b == a:
         return "yes"
-    if a.index == 1:
-        if isinstance(beta, CharSubgroup) and beta.certificate.kind in _CONSTRUCTIVE_KINDS:
-            return "yes"
-        if not is_normal(b):
-            return "no"
-        try:
-            core = char_core(b, cfg)
-        except (BudgetExceeded, IndexOverflow):
-            return "unknown"
-        return "yes" if core.subgroup == b else "unknown"
-    rel = restrict_to_cover(arrow)
+    certified = isinstance(beta, CharSubgroup) and beta.certificate.kind in _CONSTRUCTIVE_KINDS
+    if a.index == 1 and certified:
+        return "yes"
+    # The relative cover as a subgroup of the cover group of ``a``.
+    rel = b if a.index == 1 else restrict_to_cover(arrow)
     if not is_normal(rel):
         return "no"
     try:
-        within = _relative_core(arrow, rel, cfg)
+        core = _kernel_core(rel.pres, rel.index, cfg)
     except (BudgetExceeded, IndexOverflow):
         return "unknown"
-    return "yes" if within.relative == rel else "unknown"
+    return "yes" if core == rel else "unknown"
 
 
 def fiber_product_preserves_char(
@@ -514,7 +437,7 @@ def verify_certificate(
             return False
         return sub == homology_cover(sub.pres, cert.level or 1, cfg).subgroup
     if cert.kind == "hom-kernel-intersection":
-        return _hom_kernel_core(sub.pres, cert.level or 1, cfg) == sub
+        return _kernel_core(sub.pres, cert.level or 1, cfg) == sub
     if cert.kind == "intersection":
         if len(cert.parents) != 2:
             return False

@@ -11,10 +11,6 @@ class RunConfig:
     # Subgroup enumeration.
     max_index: int = 6
     max_search_nodes: int = 10_000_000
-    # Homomorphism enumeration (degree of the target symmetric group, and a
-    # cap on raw assignments for generic presentations).
-    max_hom_degree: int = 4
-    max_hom_assignments: int = 2_000_000
     # Cap on the index of any constructed subgroup (intersections, homology
     # kernels, cores).
     max_result_index: int = 10_000

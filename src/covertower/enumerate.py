@@ -8,12 +8,13 @@ subgroup of index <= max_index is produced exactly once, with no conjugacy
 collapsing.  Each new cell goes on a deduction stack; popping it traces only
 the relator cycles that start with that cell, which forces further cells
 and prunes dead branches early.  A first-undefined pointer passed down the
-search only moves forward along a branch.
+search only moves forward along a branch.  Each subgroup is handed on as
+the search completes it; ``low_index_subgroups`` collects and sorts them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import Subgroup
@@ -45,7 +46,16 @@ def low_index_subgroups(
     config: Optional[RunConfig] = None,
 ) -> list[Subgroup]:
     """All subgroups of index <= max_index, sorted by (index, table)."""
-    cfg = config or DEFAULT_CONFIG
+    subs: list[Subgroup] = []
+    _each_subgroup(pres, max_index, config or DEFAULT_CONFIG, subs.append)
+    return sorted(subs, key=lambda s: (s.index, s.table))
+
+
+def _each_subgroup(
+    pres: Presentation, max_index: int, cfg: RunConfig, emit: Callable[[Subgroup], None]
+) -> None:
+    """Pass every subgroup of index <= max_index to ``emit`` as the search
+    completes it, each once; an exception from ``emit`` stops the search."""
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     if max_index > cfg.max_index:
@@ -58,8 +68,7 @@ def low_index_subgroups(
     # is traced when its coset gets a first cell, as a full relator scan would.
     units = [col for col in range(width) if (col,) in buckets[col]]
     tab = [-1] * (max_index * width)
-    nodes = top = 0
-    results: list[Subgroup] = []
+    nodes = top = found = 0
 
     def deduce(stack: list[tuple[int, int]], trail: list[int]) -> bool:
         """Trace the cycles through each stacked cell; False on a clash."""
@@ -94,14 +103,15 @@ def low_index_subgroups(
         return True
 
     def dfs(n: int, pos: int) -> None:
-        nonlocal nodes, top
+        nonlocal nodes, top, found
         top = max(top, n)
         end = n * width
         while pos < end and tab[pos] >= 0:
             pos += 1
         if pos == end:
             table = tuple(tuple(tab[c * width : (c + 1) * width : 2]) for c in range(n))
-            results.append(Subgroup(pres, table))
+            found += 1
+            emit(Subgroup(pres, table))
             return
         c, col = divmod(pos, width)
         for d in range(n + (n < max_index)):
@@ -109,7 +119,7 @@ def low_index_subgroups(
             if nodes > cfg.max_search_nodes:
                 raise BudgetExceeded(
                     f"enumeration exceeded {cfg.max_search_nodes} nodes (visited "
-                    f"{cfg.max_search_nodes}, subgroups found {len(results)}, "
+                    f"{cfg.max_search_nodes}, subgroups found {found}, "
                     f"largest index reached {top})"
                 )
             mirror = d * width + (col ^ 1)
@@ -129,5 +139,3 @@ def low_index_subgroups(
                 tab[p] = -1
 
     dfs(1, 0)
-    results.sort(key=lambda s: (s.index, s.table))
-    return results

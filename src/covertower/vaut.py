@@ -49,6 +49,8 @@ from .errors import (
 from .words import (
     SurfacePresentation,
     Word,
+    _exponent_row_mod2,
+    _f2_echelon,
     free_reduce,
     inverse_word,
     substitute,
@@ -84,36 +86,6 @@ class RebasedVaut:
 # Mod-2 homology of a cover, used for the generation certificate.
 
 
-def _f2_rank(vectors: Iterable[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        while v:
-            msb = v.bit_length() - 1
-            if msb in pivots:
-                v ^= pivots[msb]
-            else:
-                pivots[msb] = v
-                rank += 1
-                break
-    return rank
-
-
-def _exponent_row_mod2(w: Iterable[int]) -> int:
-    """Exponent sums of ``w`` mod 2, bit i for generator i+1."""
-    out = 0
-    for x in w:
-        out ^= 1 << (abs(x) - 1)
-    return out
-
-
-def _h1_mod2(sub: Subgroup) -> tuple[int, list[int]]:
-    """(#Schreier generators, relator exponent rows mod 2) for a cover."""
-    pres = reidemeister_schreier(sub)
-    rows = [_exponent_row_mod2(r) for r in pres.relators]
-    return pres.generator_count, rows
-
-
 def generation_certified(target: Subgroup, images: Sequence[Word]) -> bool:
     """True iff the images provably generate ``target``.
 
@@ -125,16 +97,17 @@ def generation_certified(target: Subgroup, images: Sequence[Word]) -> bool:
     for w in images:
         if not contains(target, w):
             return False
-    m, rel_rows = _h1_mod2(target)
-    rel_rank = _f2_rank(rel_rows)
-    h1_dim = m - rel_rank
+    pres = reidemeister_schreier(target)
+    rel_rows = [_exponent_row_mod2(r) for r in pres.relators]
+    rel_rank = len(_f2_echelon(rel_rows))
+    h1_dim = pres.generator_count - rel_rank
     assert h1_dim % 2 == 0, "covers of surfaces have even first Betti number"
     genus = h1_dim // 2
     img_rows = [
         _exponent_row_mod2(rewrite_in_schreier_generators(target, w))
         for w in images
     ]
-    span = _f2_rank(rel_rows + img_rows) - rel_rank
+    span = len(_f2_echelon(rel_rows + img_rows)) - rel_rank
     return span >= genus + 1
 
 

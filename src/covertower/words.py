@@ -179,3 +179,40 @@ def is_identity(pres: SurfacePresentation, w: Iterable[int]) -> bool:
 
 def words_equal(pres: SurfacePresentation, u: Iterable[int], v: Iterable[int]) -> bool:
     return is_identity(pres, concat(u, inverse_word(v)))
+
+
+
+# ---------------------------------------------------------------------------
+# Exponent sums mod 2 as bit rows, bit i for generator i+1, and F2 reduction.
+
+
+def _exponent_row_mod2(w: Iterable[int]) -> int:
+    out = 0
+    for x in w:
+        out ^= 1 << (abs(x) - 1)
+    return out
+
+
+def _f2_reduce(basis: dict[int, int], v: int) -> int:
+    """The representative of ``v`` modulo the span of ``basis`` (rows keyed by
+    distinct leading bits) that has none of those bits set."""
+    out = 0
+    while v:
+        lead = v.bit_length() - 1
+        if lead not in basis:
+            out |= 1 << lead
+        v ^= basis.get(lead, 1 << lead)
+    return out
+
+
+def _f2_echelon(rows: Iterable[int]) -> dict[int, int]:
+    """A basis of the F2 span of ``rows`` keyed by leading bit (size = rank)."""
+    basis: dict[int, int] = {}
+    for v in rows:
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = v
+                break
+            v ^= basis[lead]
+    return basis

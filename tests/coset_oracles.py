@@ -64,3 +64,40 @@ def transitive_tables(k, relators, max_index):
                 if len(table) == n:
                     found.add(table)
     return sorted(found, key=lambda t: (len(t), t))
+
+
+def sym_kernel_intersection(k, relators, n):
+    """Canonical table of the intersection of the kernels of every
+    homomorphism from <x1..xk | relators> to Sym(n), by brute force.
+
+    Every k-tuple of permutations that satisfies the relators is a
+    homomorphism.  A group element acts on the tuple of its images under all
+    of them at once; the intersection of the kernels is the stabilizer of the
+    all-identity tuple, so its cosets are the orbit of that tuple.
+    """
+    homs = []
+    for perms in product(permutations(range(n)), repeat=k):
+        rows = tuple(tuple(p[c] for p in perms) for c in range(n))
+        inv = inverse_rows(rows)
+        if all(walk(rows, inv, c, r) == c for r in relators for c in range(n)):
+            homs.append((rows, inv))
+
+    def act(state, letter):
+        return tuple(
+            tuple(walk(rows, inv, c, (letter,)) for c in image)
+            for (rows, inv), image in zip(homs, state)
+        )
+
+    identity = tuple(tuple(range(n)) for _ in homs)
+    label = {identity: 0}
+    order = [identity]
+    for state in order:  # grows while it is walked
+        for letter in alphabet(k):
+            nxt = act(state, letter)
+            if nxt not in label:
+                label[nxt] = len(order)
+                order.append(nxt)
+    table = tuple(
+        tuple(label[act(state, j)] for j in range(1, k + 1)) for state in order
+    )
+    return bfs_canonical(table, 0)

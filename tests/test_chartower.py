@@ -1,6 +1,10 @@
 import random
+import re
+from math import lcm
 
 import pytest
+
+from coset_oracles import bfs_canonical, sym_kernel_intersection
 
 from covertower import (
     CharCertificate,
@@ -9,6 +13,7 @@ from covertower import (
     IndexOverflow,
     IntersectionIndexOverflow,
     NotInvariant,
+    RunConfig,
     SurfacePresentation,
     apply_automorphism,
     build_char_tower,
@@ -23,7 +28,6 @@ from covertower import (
     free_reduce,
     full_subgroup,
     handle_swap,
-    hom_enumeration,
     homology_cover,
     inner_automorphism,
     intersect,
@@ -31,7 +35,6 @@ from covertower import (
     is_invariant_under,
     is_normal,
     is_subgroup_of,
-    kernel_subgroup,
     low_index_subgroups,
     make_subgroup,
     reidemeister_schreier,
@@ -74,28 +77,6 @@ def test_inner_automorphism_matches_conjugation(pres2):
     assert words_equal(pres2, apply_automorphism(phi, (3,)), (1, 2, 3, -2, -1))
 
 
-def test_hom_enumeration_counts(pres2):
-    assert len(hom_enumeration(pres2, 1)) == 1
-    assert len(hom_enumeration(pres2, 2)) == 16
-
-
-def test_hom_enumeration_generic_route_agrees(pres2):
-    # The surface-specific enumeration must produce exactly the same
-    # assignments as the generic filtered scan over the same relator.
-    generic = GenericPresentation(pres2.generator_count, pres2.relators)
-    fast = set(hom_enumeration(pres2, 2))
-    slow = set(hom_enumeration(generic, 2))
-    assert fast == slow
-
-
-def test_kernel_subgroup(pres2):
-    trivial = kernel_subgroup(pres2, [(0, 1)] * 4)
-    assert trivial.index == 1
-    three_cycle = kernel_subgroup(pres2, [(1, 2, 0), (0, 1, 2), (0, 1, 2), (0, 1, 2)])
-    assert three_cycle.index == 3
-    assert is_normal(three_cycle)
-
-
 def test_char_core_of_index_two_is_the_homology_cover(pres2, index_two_subgroups):
     cover = homology_cover(pres2, 2)
     for sub in index_two_subgroups[:4]:
@@ -110,6 +91,82 @@ def test_char_core_at_index_three_overflows(pres2):
     sub = next(s for s in low_index_subgroups(pres2, 3) if s.index == 3)
     with pytest.raises(IntersectionIndexOverflow):
         char_core(sub)
+
+
+def _cyclic_cover(pres, n):
+    """The kernel of the map sending a1 to 1 in Z/n and the rest to 0."""
+    cycle = tuple(range(1, n)) + (0,)
+    identity = tuple(range(n))
+    return make_subgroup(pres, [cycle] + [identity] * (pres.generator_count - 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_char_core_of_z_squared_is_the_lcm_lattice(n):
+    # Every subgroup of index k <= n in Z^2 contains k Z^2, hence L Z^2 with
+    # L = lcm(1..n), and kZ x Z, Z x kZ (k <= n) intersect to L Z^2; so the
+    # core is L Z^2, whose cosets are the torus (Z/L)^2 walked by unit steps.
+    z2 = GenericPresentation(2, ((1, 2, -1, -2),))
+    sub = next(s for s in low_index_subgroups(z2, n) if s.index == n)
+    L = lcm(*range(1, n + 1))
+    rows = tuple(
+        (((a + 1) % L) * L + b, a * L + (b + 1) % L)
+        for a in range(L) for b in range(L)
+    )
+    core = char_core(sub)
+    assert core.subgroup.index == (1, 4, 36, 144, 3600, 3600)[n - 1]
+    assert core.subgroup.table == bfs_canonical(rows, 0)
+    assert core.certificate.level == n
+
+
+def test_char_core_of_the_free_group_matches_the_sym3_kernel_oracle():
+    free = GenericPresentation(2, ())
+    sub = next(s for s in low_index_subgroups(free, 3) if s.index == 3)
+    core = char_core(sub)
+    assert core.subgroup.index == 972
+    assert core.subgroup.table == sym_kernel_intersection(2, (), 3)
+
+
+def test_sym2_kernel_oracle_is_the_mod_two_homology_cover(pres2):
+    oracle = sym_kernel_intersection(4, pres2.relators, 2)
+    assert oracle == homology_cover(pres2, 2).subgroup.table
+
+
+@pytest.mark.parametrize("genus, n", [(2, 4), (2, 5), (2, 6), (3, 3)])
+def test_char_core_refusal_says_how_far_it_got(genus, n):
+    sub = _cyclic_cover(SurfacePresentation(genus), n)
+    with pytest.raises(IntersectionIndexOverflow) as excinfo:
+        char_core(sub)
+    match = re.fullmatch(
+        rf"core at n={n} exceeds index cap 10000 at subgroup (\d+) of index "
+        rf"<= {n}; the first (\d+) intersect to index (\d+)",
+        str(excinfo.value),
+    )
+    assert match, str(excinfo.value)
+    used, before, reached = map(int, match.groups())
+    # The refusal comes within a handful of subgroups, not at the node budget.
+    assert before == used - 1 and used < 20
+    assert 1 < reached <= 10_000
+
+
+def test_mod_two_core_overflow_names_the_index(index_two_subgroups):
+    with pytest.raises(IntersectionIndexOverflow) as excinfo:
+        char_core(index_two_subgroups[0], RunConfig(max_result_index=15))
+    assert str(excinfo.value) == "core at n=2 has index 16, above cap 15"
+
+
+def test_relative_core_at_index_two_refuses_without_a_search(pres2, monkeypatch):
+    # Inside the genus-17 mod-2 cover the relative core at relative index 2
+    # has index 2^34; the closed form refuses before any low-index search.
+    def no_search(*args):
+        raise AssertionError("the low-index search must not run at n = 2")
+
+    monkeypatch.setattr(chartower, "_each_subgroup", no_search)
+    h2 = homology_cover(pres2, 2).subgroup
+    inner = intersect(h2, _cyclic_cover(pres2, 4))
+    assert inner.index == 32
+    with pytest.raises(IntersectionIndexOverflow, match="index 17179869184"):
+        char_core_within(h2, inner)
+    assert char_order(inner, h2) == "unknown"
 
 
 def test_homology_covers(pres2):

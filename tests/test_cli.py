@@ -7,6 +7,7 @@ from covertower import (
     CovertowerError,
     IntersectionIndexOverflow,
     RunConfig,
+    make_subgroup,
     store_doc,
     subgroup_doc,
     subgroup_from_doc,
@@ -289,8 +290,8 @@ def test_bad_config_caps_exit_six(tmp_path, capsys, fields):
 
 def test_config_caps_must_be_positive_integers():
     assert RunConfig(max_solve_length=0).max_solve_length == 0
-    for name in ("max_index", "max_search_nodes", "max_hom_degree",
-                 "max_hom_assignments", "max_result_index", "max_solve_length"):
+    for name in ("max_index", "max_search_nodes", "max_result_index",
+                 "max_solve_length"):
         for bad in (-1, False, 1.5, "3"):
             with pytest.raises(ValueError):
                 RunConfig(**{name: bad})
@@ -345,6 +346,21 @@ def test_overflow_exit_five(tmp_path, capsys, index_two_subgroups):
     )
     assert code == 5
     assert json.loads(err)["error"] == "IntersectionIndexOverflow"
+
+
+def test_char_core_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
+    # An index-5 core runs the low-index search until the intersection
+    # passes max_result_index; there is no separate degree cap (exit 3).
+    five = make_subgroup(pres2, [(1, 2, 3, 4, 0)] + [tuple(range(5))] * 3)
+    name = store_doc(tmp_path, subgroup_doc(five)).name
+    code, out, err = _run(
+        capsys, "--workspace", str(tmp_path), "char", "core", "--subgroup", name
+    )
+    assert code == 5
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "IntersectionIndexOverflow"
+    assert diagnostic["message"].startswith("core at n=5 exceeds index cap 10000")
 
 
 def test_schema_error_exit_six(tmp_path, capsys):

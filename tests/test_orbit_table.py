@@ -24,10 +24,8 @@ from covertower import (
     factor_through,
     flatten_cover_subgroup,
     free_reduce,
-    hom_enumeration,
     homology_cover,
     intersect,
-    kernel_subgroup,
     low_index_subgroups,
     make_subgroup,
     restrict_to_cover,
@@ -66,33 +64,6 @@ def _old_intersect_table(a, b, max_index=None):
         tuple(label[(rows_a[ca][j], rows_b[cb][j])] for j in range(k))
         for ca, cb in order
     )
-
-
-def _perm_mul(p, q):
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def _old_kernel_table(pres, assignment):
-    """Regular action of the image group by a positive-letter BFS."""
-    n = len(assignment[0])
-    identity = tuple(range(n))
-    elements = [identity]
-    index_of = {identity: 0}
-    queue = [identity]
-    while queue:
-        e = queue.pop(0)
-        for g in assignment:
-            f = _perm_mul(e, g)
-            if f not in index_of:
-                index_of[f] = len(elements)
-                elements.append(f)
-                queue.append(f)
-    k = pres.generator_count
-    table = tuple(
-        tuple(index_of[_perm_mul(e, assignment[j])] for j in range(k))
-        for e in elements
-    )
-    return bfs_canonical(table, 0)
 
 
 def _old_homology_table(pres, n):
@@ -217,14 +188,6 @@ def test_flattened_tables_are_canonical(pres2, index_two_subgroups, index_le_thr
             relative = restrict_to_cover(factor_through(inner, outer))
             flat = flatten_cover_subgroup(outer, relative)
             assert flat.table == bfs_canonical(inner.table, 0)
-
-
-def test_kernel_subgroup_matches_the_bfs_reference(pres2):
-    homs = hom_enumeration(pres2, 3)
-    assert len(homs) == 486
-    for assignment in homs:
-        ker = kernel_subgroup(pres2, assignment)
-        assert ker.table == _old_kernel_table(pres2, assignment)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
