@@ -10,6 +10,13 @@ approximation of the target coordinates.
 Convention: lattice vectors are rows, and the Mobius matrix [[a, b], [c, d]]
 sends tau to (a*tau + b)/(c*tau + d).  Only orientation-preserving maps
 (positive determinant) are admitted.
+
+Arithmetic runs on plain integers.  Exact evaluation puts each image
+coordinate over one common denominator and reduces it once, and products
+are normalized with one gcd.  The public constructors and the
+``mobius_from_*`` functions validate their input; matrices and points this
+module computes from validated values are built without validating them
+again.
 """
 
 from __future__ import annotations
@@ -27,6 +34,24 @@ Scalar = Union[Fraction, float]
 
 def _det(m: Sequence[Sequence[int]]) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _integer(x) -> int:
+    """An integer-valued entry as an int; anything else is rejected, not truncated."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError("matrix entries must be integers")
+    return n
+
+
+def _int_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
+    return (
+        (_integer(m[0][0]), _integer(m[0][1])),
+        (_integer(m[1][0]), _integer(m[1][1])),
+    )
 
 
 def _mat_mul(m: Sequence[Sequence[int]], n: Sequence[Sequence[int]]) -> IntMatrix:
@@ -63,8 +88,7 @@ class SublatticeMatrix:
 
 def hnf(entries: Sequence[Sequence[int]]) -> SublatticeMatrix:
     """Hermite normal form of the row lattice spanned by an integer matrix."""
-    (p, q), (r, s) = ((int(entries[0][0]), int(entries[0][1])),
-                      (int(entries[1][0]), int(entries[1][1])))
+    (p, q), (r, s) = _int_matrix(entries)
     if p * s - q * r == 0:
         raise SingularMatrix("rows do not span a finite-index sublattice")
     while r != 0:
@@ -106,21 +130,30 @@ class RationalMobius:
         return _det(self.entries)
 
 
+def _mobius(a: int, b: int, c: int, d: int) -> RationalMobius:
+    """Canonical representative of an integer matrix with ad - bc > 0.
+
+    The caller guarantees the determinant, so the result is built without
+    running the validator.  With a positive determinant, a and b are not
+    both zero, so the leading entry is a unless a is zero.
+    """
+    g = gcd(a, b, c, d)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    m = object.__new__(RationalMobius)
+    object.__setattr__(m, "entries", ((a // g, b // g), (c // g, d // g)))
+    return m
+
+
 def mobius_from_integer_matrix(entries: Sequence[Sequence[int]]) -> RationalMobius:
     """Normalize an integer matrix to its canonical Mobius representative."""
-    (a, b), (c, d) = ((int(entries[0][0]), int(entries[0][1])),
-                      (int(entries[1][0]), int(entries[1][1])))
+    (a, b), (c, d) = _int_matrix(entries)
     det = a * d - b * c
     if det == 0:
         raise SingularMatrix("matrix does not act on the upper half-plane")
     if det < 0:
         raise ValueError("orientation-reversing matrices are not admitted")
-    g = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
-    a, b, c, d = a // g, b // g, c // g, d // g
-    lead = next(x for x in (a, b, c, d) if x != 0)
-    if lead < 0:
-        a, b, c, d = -a, -b, -c, -d
-    return RationalMobius(((a, b), (c, d)))
+    return _mobius(a, b, c, d)
 
 
 def mobius_from_rational_matrix(
@@ -141,7 +174,9 @@ def identity_mobius() -> RationalMobius:
 
 def compose_mobius(m: RationalMobius, n: RationalMobius) -> RationalMobius:
     """(m compose n)(tau) = m(n(tau)); exact matrix product, renormalized."""
-    return mobius_from_integer_matrix(_mat_mul(m.entries, n.entries))
+    (a, b), (c, d) = m.entries
+    (e, f), (g, h) = n.entries
+    return _mobius(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def covering_modulus_map(lattice: SublatticeMatrix) -> RationalMobius:
@@ -166,7 +201,7 @@ def vaut_as_matrix(
     orientation (determinant +1).  The induced map on Z^2 tensor Q is
     src^{-1} * iso * dst in the row convention.
     """
-    iso_t = ((int(iso[0][0]), int(iso[0][1])), (int(iso[1][0]), int(iso[1][1])))
+    iso_t = _int_matrix(iso)
     d = _det(iso_t)
     if abs(d) != 1:
         raise NotAnIsomorphism("identification is not a lattice bijection")
@@ -215,22 +250,46 @@ class UpperHalfPoint:
         return complex(float(self.real), float(self.imag))
 
 
+def _point(real: Scalar, imag: Scalar) -> UpperHalfPoint:
+    """A point whose coordinates are two Fractions or two floats, imag > 0.
+
+    The caller guarantees both, so the validator is not run again.
+    """
+    p = object.__new__(UpperHalfPoint)
+    object.__setattr__(p, "real", real)
+    object.__setattr__(p, "imag", imag)
+    return p
+
+
 def i_point() -> UpperHalfPoint:
     return UpperHalfPoint(Fraction(0), Fraction(1))
 
 
 def act(m: RationalMobius, tau: UpperHalfPoint) -> UpperHalfPoint:
-    """(a*tau+b)/(c*tau+d); exact on exact points, float otherwise."""
+    """(a*tau+b)/(c*tau+d); exact on exact points, float otherwise.
+
+    For tau = p/q + i*r/s, with u = c*p + d*q and v = a*p + b*q, the image
+    is (u*v*s^2 + a*c*q^2*r^2)/D + i*det*r*q^2*s/D where
+    D = u^2*s^2 + c^2*q^2*r^2, so each coordinate is reduced once.
+    """
     (a, b), (c, d) = m.entries
     if tau.exact:
-        x, y = tau.real, tau.imag
-        den = (c * x + d) ** 2 + (c * y) ** 2
-        new_x = ((a * x + b) * (c * x + d) + a * c * y * y) / den
-        new_y = y * m.determinant / den
-        return UpperHalfPoint(new_x, new_y)
+        p, q = tau.real.numerator, tau.real.denominator
+        r, s = tau.imag.numerator, tau.imag.denominator
+        u, v = c * p + d * q, a * p + b * q
+        qr, ss = q * r, s * s
+        cqr = c * qr
+        den = u * u * ss + cqr * cqr
+        return _point(
+            Fraction(u * v * ss + a * cqr * qr, den),
+            Fraction((a * d - b * c) * qr * q * s, den),
+        )
     z = tau.as_complex()
     w = (a * z + b) / (c * z + d)
-    return UpperHalfPoint(w.real, w.imag)
+    if not w.imag > 0:
+        # Float underflow can put an image on the real axis.
+        raise ValueError("imaginary part must be positive")
+    return _point(w.real, w.imag)
 
 
 def _distance_squared(p: UpperHalfPoint, q: UpperHalfPoint) -> Scalar:
@@ -255,21 +314,23 @@ def dense_orbit_approx(
         raise ValueError("eps must be positive")
     if (source.real, source.imag) == (target.real, target.imag):
         return identity_mobius()
-    x0, y0 = Fraction(source.real), Fraction(source.imag)
+    p0, q0 = source.real.as_integer_ratio()
+    r0, s0 = source.imag.as_integer_ratio()
+    # to_i = [[1, -x0], [0, y0]] cleared to integers sends the source to i.
+    t11, t12, t22 = q0 * s0, -p0 * s0, r0 * q0
     x1, y1 = Fraction(target.real), Fraction(target.imag)
-    to_i = mobius_from_rational_matrix(
-        ((Fraction(1), -x0), (Fraction(0), y0))
-    )
     eps_sq = Fraction(eps) ** 2
     bound = 16
     while True:
         px = x1.limit_denominator(bound)
         py = y1.limit_denominator(bound)
         if py > 0:
-            from_i = mobius_from_rational_matrix(
-                ((py, px), (Fraction(0), Fraction(1)))
+            # [[py, px], [0, 1]] times to_i, over the denominators of py, px.
+            n1, d1 = py.numerator, py.denominator
+            n2, d2 = px.numerator, px.denominator
+            candidate = _mobius(
+                n1 * d2 * t11, n1 * d2 * t12 + n2 * d1 * t22, 0, d1 * d2 * t22
             )
-            candidate = compose_mobius(from_i, to_i)
             image = act(candidate, source)
             err_sq = _distance_squared(image, target)
             if err_sq < eps_sq:

@@ -1,11 +1,14 @@
+import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from covertower import (
     NotAnIsomorphism,
+    RationalMobius,
     SingularMatrix,
     SublatticeMatrix,
     UpperHalfPoint,
@@ -55,6 +58,12 @@ def test_hnf_rejects_singular():
         hnf([[2, 4], [1, 2]])
 
 
+def test_hnf_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="integers"):
+        hnf([[2.5, 0], [0, 1]])
+    assert hnf([[Fraction(4, 2), 0], [0, 1]]).entries == ((2, 0), (0, 1))
+
+
 def test_sublattice_constructor_enforces_normal_form():
     with pytest.raises(ValueError):
         SublatticeMatrix(((2, 3), (0, 2)))
@@ -70,6 +79,13 @@ def test_mobius_normalization():
         mobius_from_integer_matrix([[1, 0], [0, -1]])
     with pytest.raises(SingularMatrix):
         mobius_from_integer_matrix([[1, 2], [2, 4]])
+
+
+def test_mobius_from_integer_matrix_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="integers"):
+        mobius_from_integer_matrix([[Fraction(3, 2), 0], [0, 1]])
+    m = mobius_from_integer_matrix([[Fraction(6, 3), 0], [0, 4]])
+    assert m.entries == ((1, 0), (0, 2))
 
 
 def test_mobius_from_rational_matrix_clears_denominators():
@@ -133,6 +149,15 @@ def test_vaut_as_matrix_rejects_bad_identifications():
         vaut_as_matrix(src, src, [[2, 0], [0, 1]])
     with pytest.raises(NotAnIsomorphism):
         vaut_as_matrix(src, src, [[0, 1], [1, 0]])
+
+
+def test_vaut_as_matrix_rejects_non_integral_identifications():
+    src = hnf([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="integers"):
+        vaut_as_matrix(src, src, [[1, Fraction(1, 2)], [0, 1]])
+    assert vaut_as_matrix(src, src, [[1, Fraction(2, 2)], [0, 1]]) == vaut_as_matrix(
+        src, src, [[1, 1], [0, 1]]
+    )
 
 
 def test_vaut_as_matrix_composes():
@@ -235,3 +260,142 @@ def test_dense_orbit_validates_eps():
         dense_orbit_approx(i_point(), target, 0)
     with pytest.raises(ValueError):
         dense_orbit_approx(i_point(), target, -1)
+
+
+def _act_oracle(entries, x, y):
+    """(a tau + b)/(c tau + d) as a complex quotient in plain Fractions."""
+    (a, b), (c, d) = entries
+    num_re, num_im = a * x + b, a * y
+    den_re, den_im = c * x + d, c * y
+    norm = den_re * den_re + den_im * den_im
+    return (
+        (num_re * den_re + num_im * den_im) / norm,
+        (num_im * den_re - num_re * den_im) / norm,
+    )
+
+
+def _seeded_mobius(rng, count, size):
+    mats = [
+        mobius_from_integer_matrix(raw)
+        for raw in ([[2, 5], [0, 3]], [[0, 1], [-1, 0]], [[-3, 2], [-7, 1]])
+    ]
+    while len(mats) < count:
+        raw = [[rng.randint(-size, size) for _ in range(2)] for _ in range(2)]
+        if raw[0][0] * raw[1][1] - raw[0][1] * raw[1][0] > 0:
+            mats.append(mobius_from_integer_matrix(raw))
+    return mats
+
+
+def test_exact_act_matches_fraction_oracle():
+    rng = random.Random(59)
+    mats = _seeded_mobius(rng, 40, 50)
+    assert any(m.entries[1][0] == 0 for m in mats)
+    assert any(m.entries[1][1] == 0 for m in mats)
+    for _ in range(500):
+        m = rng.choice(mats)
+        x = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+        y = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**9))
+        image = act(m, UpperHalfPoint(x, y))
+        assert image.exact
+        assert (image.real, image.imag) == _act_oracle(m.entries, x, y)
+
+
+def _assert_valid_mobius(m):
+    assert all(type(x) is int for row in m.entries for x in row)
+    assert RationalMobius(m.entries) == m
+
+
+def _assert_valid_point(p, exact):
+    assert type(p.real) is type(p.imag) is (Fraction if exact else float)
+    assert UpperHalfPoint(p.real, p.imag) == p
+
+
+def test_computed_matrices_and_points_pass_the_public_validators():
+    rng = random.Random(61)
+    mats = _seeded_mobius(rng, 30, 9)
+    for m in mats:
+        _assert_valid_mobius(m)
+    for _ in range(300):
+        m, n = rng.choice(mats), rng.choice(mats)
+        product = compose_mobius(m, n)
+        _assert_valid_mobius(product)
+        x = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        y = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        _assert_valid_point(act(product, UpperHalfPoint(x, y)), exact=True)
+        _assert_valid_point(act(product, UpperHalfPoint(float(x), float(y))), exact=False)
+    for source, target in _orbit_cases()[::25]:
+        _assert_valid_mobius(dense_orbit_approx(source, target, 1e-6))
+
+
+def _orbit_cases():
+    """200 seeded float and 50 exact targets from three sources."""
+    rng = random.Random(1009)
+    floats = [
+        UpperHalfPoint(rng.uniform(-3, 3), rng.uniform(0.1, 5.0)) for _ in range(200)
+    ]
+    exact = [
+        UpperHalfPoint(
+            Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)),
+            Fraction(rng.randint(1, 10**4), rng.randint(1, 10**3)),
+        )
+        for _ in range(50)
+    ]
+    sources = (
+        i_point(),
+        UpperHalfPoint(Fraction(-7, 3), Fraction(5, 2)),
+        UpperHalfPoint(-1.3, 0.7),
+    )
+    return [(s, t) for s in sources for t in floats + exact]
+
+
+def test_dense_orbit_matrices_match_the_pinned_digest():
+    # Recorded from the Fraction-arithmetic implementation that the
+    # integer arithmetic replaced; every matrix must stay the same.
+    digest = hashlib.sha256()
+    for source, target in _orbit_cases():
+        digest.update(repr(dense_orbit_approx(source, target, 1e-6).entries).encode())
+    assert digest.hexdigest() == (
+        "998e9820f3c49cba8fdb1a7114e27bae80cec8fecaeb03c4ccbb705547d32df3"
+    )
+
+
+def test_float_act_rejects_an_image_that_underflows_to_the_real_axis():
+    m = mobius_from_integer_matrix([[1, 0], [10**300, 1]])
+    with pytest.raises(ValueError, match="imaginary part"):
+        act(m, UpperHalfPoint(0.0, 1.0))
+
+
+def _fractions_built(monkeypatch, fn):
+    built = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counting)
+        fn()
+    return built
+
+
+def test_exact_act_builds_one_fraction_per_coordinate(monkeypatch):
+    # The Fraction-arithmetic evaluation built 17.
+    m = mobius_from_integer_matrix([[2, -3], [1, 4]])
+    tau = UpperHalfPoint(Fraction(-7, 3), Fraction(5, 2))
+    assert _fractions_built(monkeypatch, lambda: act(m, tau)) == 2
+
+
+def test_dense_orbit_fraction_count(monkeypatch):
+    # The Fraction-arithmetic construction built 140; what is left is
+    # limit_denominator, eps and the float error comparisons.  From 3.12
+    # on, Fraction arithmetic builds its results without __new__.
+    target = UpperHalfPoint(math.sqrt(2), math.pi)
+    built = _fractions_built(
+        monkeypatch, lambda: dense_orbit_approx(i_point(), target, 1e-6)
+    )
+    if sys.version_info < (3, 12):
+        assert built == 52
+    else:
+        assert built <= 52
