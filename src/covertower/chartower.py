@@ -296,27 +296,6 @@ def is_invariant_under(
     return True
 
 
-@dataclass(frozen=True)
-class RestrictedAutomorphism:
-    """An automorphism cut down to an invariant subgroup."""
-
-    subgroup: Subgroup
-    images: tuple[Word, ...]  # image of each Schreier generator, in ambient letters
-
-
-def restrict_aut(phi: Automorphism, char: Union[Subgroup, CharSubgroup]) -> RestrictedAutomorphism:
-    sub = _subgroup_of(char)
-    if not phi.verified:
-        raise ValueError("automorphism must carry verified inverse images")
-    images = []
-    for s in schreier_generators(sub):
-        img = apply_automorphism(phi, s)
-        if not contains(sub, img):
-            raise NotInvariant("image of a Schreier generator leaves the subgroup")
-        images.append(img)
-    return RestrictedAutomorphism(sub, tuple(images))
-
-
 # ---------------------------------------------------------------------------
 # Relative cores inside a cover.
 

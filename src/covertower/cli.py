@@ -346,9 +346,9 @@ def _cmd_ledger_check(args) -> int:
     return EXIT_OK
 
 
-def _load_vaut(root: Path, raw: str, cfg: RunConfig):
+def _load_vaut(root: Path, raw: str):
     v = vaut_from_doc(load_doc(_resolve(root, raw)))
-    validate_vaut(v, cfg)
+    validate_vaut(v)
     return v
 
 
@@ -364,8 +364,8 @@ def _cmd_vaut_identity(args) -> int:
 def _cmd_vaut_compose(args) -> int:
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
-    v = _load_vaut(root, args.first, cfg)
-    w = _load_vaut(root, args.second, cfg)
+    v = _load_vaut(root, args.first)
+    w = _load_vaut(root, args.second)
     out = compose(v, w, cfg)
     name = store_doc(root, vaut_doc(out)).name
     _emit({"file": name, "domainIndex": out.domain.index})
@@ -375,7 +375,7 @@ def _cmd_vaut_compose(args) -> int:
 def _cmd_vaut_invert(args) -> int:
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
-    v = _load_vaut(root, args.vaut, cfg)
+    v = _load_vaut(root, args.vaut)
     out = inverse(v, cfg)
     name = store_doc(root, vaut_doc(out)).name
     _emit({"file": name, "domainIndex": out.domain.index})
@@ -384,9 +384,9 @@ def _cmd_vaut_invert(args) -> int:
 
 def _cmd_vaut_germ_eq(args) -> int:
     root = workspace_dir(args.workspace)
-    cfg = _config_of(args)
-    v = _load_vaut(root, args.first, cfg)
-    w = _load_vaut(root, args.second, cfg)
+    _config_of(args)  # germ comparison reads no cap, but a bad --config still exits 6
+    v = _load_vaut(root, args.first)
+    w = _load_vaut(root, args.second)
     _emit({"germEqual": germ_equals(v, w)})
     return EXIT_OK
 
@@ -400,7 +400,7 @@ def _cmd_vaut_reduce(args) -> int:
     except ValueError as exc:
         raise InconsistentInput(str(exc)) from exc
     cycle = reduce_cycle(path, args.order, cfg)
-    vaut = from_two_arrow(cycle, cfg)
+    vaut = from_two_arrow(cycle)
     cycle_path, vaut_path = store_docs(root, [cycle_doc(cycle), vaut_doc(vaut)])
     _emit(
         {
@@ -415,7 +415,7 @@ def _cmd_vaut_reduce(args) -> int:
 def _cmd_vaut_mcl_search(args) -> int:
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
-    v = _load_vaut(root, args.vaut, cfg)
+    v = _load_vaut(root, args.vaut)
     witness = bounded_mcl_search(v, args.depth, cfg)
     if witness is None:
         _emit({"found": False})

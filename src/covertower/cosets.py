@@ -35,6 +35,7 @@ from math import lcm
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import (
+    InconsistentInput,
     IndexOverflow,
     IntersectionIndexOverflow,
     NotNormal,
@@ -357,7 +358,7 @@ def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
 def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subgroup:
     """Intersection: the orbit of (0, 0) in the product action."""
     if a.pres != b.pres:
-        raise ValueError("subgroups of different presentations")
+        raise InconsistentInput("subgroups of different presentations")
     try:
         return _orbit_table(
             a.pres,
@@ -415,7 +416,7 @@ def factor_through(beta: Subgroup, alpha: Subgroup) -> Optional[CoveringArrow]:
 
     Both spaces are transitive, so the map is onto with equal-size fibres."""
     if beta.pres != alpha.pres:
-        raise ValueError("subgroups of different presentations")
+        raise InconsistentInput("subgroups of different presentations")
     f = _coset_map(beta, alpha, 0)
     if f is None:
         return None

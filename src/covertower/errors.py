@@ -61,12 +61,6 @@ class SingularMatrix(CovertowerError):
     exit_code = 4
 
 
-class NotRestrictable(CovertowerError):
-    """A virtual automorphism cannot be restricted to the requested cover."""
-
-    exit_code = 4
-
-
 class NotInvertible(CovertowerError):
     """No inverse witness is available and bounded solving failed."""
 

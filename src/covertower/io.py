@@ -22,11 +22,12 @@ from .chartower import (
     TowerEdge,
     TowerGraph,
     TowerNode,
+    check_automorphism,
 )
 from .cosets import Subgroup, covering_genus, factor_through
 from .errors import SchemaError
 from .vaut import TwoArrowCycle, VirtualAutomorphism
-from .words import SurfacePresentation, Word
+from .words import Presentation, SurfacePresentation, Word
 
 SCHEMAS = ("subgroup/1", "tower/1", "vaut/1", "cycle/1", "ledger/1")
 
@@ -62,11 +63,12 @@ def _word_doc(w: Word) -> list[int]:
     return [int(x) for x in w]
 
 
-def _word_from(raw) -> Word:
+def _word_from(raw, pres: Presentation) -> Word:
+    k = pres.generator_count
     if not isinstance(raw, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) and x != 0 for x in raw
+        isinstance(x, int) and not isinstance(x, bool) and 0 < abs(x) <= k for x in raw
     ):
-        raise SchemaError("words must be lists of nonzero integers")
+        raise SchemaError(f"words must be lists of nonzero integers of size at most {k}")
     return tuple(raw)
 
 
@@ -74,10 +76,10 @@ def _words_doc(words: Sequence[Word]) -> list[list[int]]:
     return [_word_doc(w) for w in words]
 
 
-def _words_from(raw) -> tuple[Word, ...]:
+def _words_from(raw, pres: Presentation) -> tuple[Word, ...]:
     if not isinstance(raw, list):
         raise SchemaError("expected a list of words")
-    return tuple(_word_from(w) for w in raw)
+    return tuple(_word_from(w, pres) for w in raw)
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +97,16 @@ def _automorphism_from(raw, pres: SurfacePresentation) -> Automorphism:
     if not isinstance(raw, dict):
         raise SchemaError("automorphism entries must be objects")
     name = _require(raw, "name", str)
-    images = _words_from(_require(raw, "images", list))
+    images = _words_from(_require(raw, "images", list), pres)
     inverse = None
     if "inverseImages" in raw:
-        inverse = _words_from(raw["inverseImages"])
-    return Automorphism(pres, images, inverse, name)
+        inverse = _words_from(raw["inverseImages"], pres)
+    try:
+        phi = Automorphism(pres, images, inverse, name)
+        check_automorphism(phi)
+    except ValueError as exc:
+        raise SchemaError(f"bad automorphism {name!r}: {exc}") from exc
+    return phi
 
 
 def _certificate_doc(cert: CharCertificate) -> dict:
@@ -120,14 +127,19 @@ def _certificate_from(raw, pres: SurfacePresentation) -> CharCertificate:
     level = None
     if "level" in raw:
         level = _require(raw, "level", int)
-    auts = tuple(
-        _automorphism_from(a, pres) for a in raw.get("auts", [])
-    )
-    parents = tuple(
-        char_subgroup_from_doc(p) for p in raw.get("parents", [])
-    )
+        if level < 1:
+            raise SchemaError("certificate level must be at least 1")
+    auts = raw.get("auts", [])
+    parents = raw.get("parents", [])
+    if not isinstance(auts, list) or not isinstance(parents, list):
+        raise SchemaError("certificate auts and parents must be lists")
+    auts = tuple(_automorphism_from(a, pres) for a in auts)
+    parents = tuple(char_subgroup_from_doc(p) for p in parents)
     partial = bool(raw.get("partial", False))
-    return CharCertificate(kind, level, auts, parents, partial)
+    try:
+        return CharCertificate(kind, level, auts, parents, partial)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def subgroup_doc(sub: Union[Subgroup, CharSubgroup]) -> dict:
@@ -217,6 +229,8 @@ def tower_doc(tower: TowerGraph) -> dict:
 def tower_from_doc(doc: dict) -> TowerGraph:
     _check_schema(doc, "tower/1")
     genus = _require(doc, "genus", int)
+    if genus < 2:
+        raise SchemaError("genus must be at least 2")
     pres = SurfacePresentation(genus)
     nodes = []
     subgroups: dict[str, Subgroup] = {}
@@ -227,6 +241,8 @@ def tower_from_doc(doc: dict) -> TowerGraph:
         if name in subgroups:
             raise SchemaError(f"duplicate node name {name!r}")
         char = char_subgroup_from_doc(_require(raw, "subgroup", dict))
+        if char.subgroup.pres != pres:
+            raise SchemaError(f"node {name!r}: subgroup of a different genus")
         degree = _require(raw, "degree", int)
         node_genus = _require(raw, "genus", int)
         if degree != char.subgroup.index:
@@ -295,10 +311,10 @@ def vaut_from_doc(doc: dict) -> VirtualAutomorphism:
     _check_schema(doc, "vaut/1")
     domain = subgroup_from_doc(_require(doc, "domain", dict))
     codomain = subgroup_from_doc(_require(doc, "codomain", dict))
-    images = _words_from(_require(doc, "images", list))
+    images = _words_from(_require(doc, "images", list), domain.pres)
     inverse = None
     if "inverseImages" in doc:
-        inverse = _words_from(doc["inverseImages"])
+        inverse = _words_from(doc["inverseImages"], domain.pres)
     return VirtualAutomorphism(domain, codomain, images, inverse)
 
 
@@ -319,8 +335,8 @@ def cycle_from_doc(doc: dict) -> TwoArrowCycle:
     _check_schema(doc, "cycle/1")
     alpha = subgroup_from_doc(_require(doc, "alpha", dict))
     beta = subgroup_from_doc(_require(doc, "beta", dict))
-    forward = _words_from(doc["forward"]) if "forward" in doc else None
-    backward = _words_from(doc["backward"]) if "backward" in doc else None
+    forward = _words_from(doc["forward"], alpha.pres) if "forward" in doc else None
+    backward = _words_from(doc["backward"], alpha.pres) if "backward" in doc else None
     return TwoArrowCycle(alpha, beta, forward, backward)
 
 

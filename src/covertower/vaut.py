@@ -33,19 +33,12 @@ from .cosets import (
     intersect,
     is_subgroup_of,
     reidemeister_schreier,
-    restrict_to_cover,
     rewrite_in_schreier_generators,
     schreier_generators,
     twisted_subgroup,
 )
-from .chartower import Automorphism, CharSubgroup, apply_automorphism
-from .errors import (
-    BudgetExceeded,
-    IdentificationInvalid,
-    IndexOverflow,
-    NotInvertible,
-    NotRestrictable,
-)
+from .chartower import Automorphism, apply_automorphism
+from .errors import BudgetExceeded, IdentificationInvalid, IndexOverflow, NotInvertible
 from .words import (
     SurfacePresentation,
     Word,
@@ -72,14 +65,6 @@ class VirtualAutomorphism:
     codomain: Subgroup
     images: tuple[Word, ...]
     inverse_images: Optional[tuple[Word, ...]] = None
-
-
-@dataclass(frozen=True)
-class RebasedVaut:
-    """A virtual automorphism expressed over a cover's own presentation."""
-
-    cover: Subgroup
-    vaut: VirtualAutomorphism
 
 
 # ---------------------------------------------------------------------------
@@ -115,39 +100,20 @@ def generation_certified(target: Subgroup, images: Sequence[Word]) -> bool:
 # Evaluation and validation.
 
 
-def _base_context(v: VirtualAutomorphism, cover: Optional[Subgroup]):
-    """Return (surface presentation, eval-to-base function)."""
-    if cover is None:
-        pres = v.domain.pres
-        if not isinstance(pres, SurfacePresentation):
-            raise ValueError("cover-based vaut needs its cover for evaluation")
-        return pres, lambda w: tuple(w)
-    if not isinstance(cover.pres, SurfacePresentation):
-        raise ValueError("cover must live over a surface presentation")
-    generators = cover.schreier.generators
-    return cover.pres, lambda w: substitute(generators, w)
-
-
 def apply_vaut(v: VirtualAutomorphism, w: Iterable[int]) -> Word:
     """Image of a domain element: rewrite in Schreier generators, substitute."""
     return substitute(v.images, rewrite_in_schreier_generators(v.domain, w))
 
 
-def apply_vaut_inverse(v: VirtualAutomorphism, w: Iterable[int]) -> Word:
-    if v.inverse_images is None:
-        raise NotInvertible("no inverse witnesses attached")
-    return substitute(
-        v.inverse_images, rewrite_in_schreier_generators(v.codomain, w)
-    )
+def validate_vaut(v: VirtualAutomorphism) -> None:
+    """Raise IdentificationInvalid unless v is a certified isomorphism.
 
-
-def validate_vaut(
-    v: VirtualAutomorphism,
-    config: Optional[RunConfig] = None,
-    cover: Optional[Subgroup] = None,
-) -> None:
-    """Raise IdentificationInvalid unless v is a certified isomorphism."""
-    base, to_base = _base_context(v, cover)
+    Words are compared in the base surface group, so the domain must live
+    over a ``SurfacePresentation`` (ValueError otherwise).
+    """
+    base = v.domain.pres
+    if not isinstance(base, SurfacePresentation):
+        raise ValueError("virtual automorphisms live over the base surface group")
     dom = v.domain
     cod = v.codomain
     if dom.pres != cod.pres:
@@ -164,7 +130,7 @@ def validate_vaut(
             raise IdentificationInvalid("an image leaves the codomain")
     rs = reidemeister_schreier(dom)
     for r in rs.relators:
-        if not words_equal(base, to_base(substitute(v.images, r)), ()):
+        if not words_equal(base, substitute(v.images, r), ()):
             raise IdentificationInvalid("images violate a rewritten relator")
     if not generation_certified(cod, v.images):
         raise IdentificationInvalid("images are not certified to generate the codomain")
@@ -179,13 +145,13 @@ def validate_vaut(
             back = substitute(
                 v.inverse_images, rewrite_in_schreier_generators(cod, substitute(v.images, rewrite_in_schreier_generators(dom, s)))
             )
-            if not words_equal(base, to_base(back), to_base(s)):
+            if not words_equal(base, back, s):
                 raise IdentificationInvalid("inverse witnesses do not undo the map")
         for t in cogens:
             forth = substitute(
                 v.images, rewrite_in_schreier_generators(dom, substitute(v.inverse_images, rewrite_in_schreier_generators(cod, t)))
             )
-            if not words_equal(base, to_base(forth), to_base(t)):
+            if not words_equal(base, forth, t):
                 raise IdentificationInvalid("the map does not undo its inverse witnesses")
 
 
@@ -213,10 +179,7 @@ class TwoArrowCycle:
     backward: Optional[tuple[Word, ...]] = None
 
 
-def from_two_arrow(
-    cycle: TwoArrowCycle, config: Optional[RunConfig] = None
-) -> VirtualAutomorphism:
-    cfg = config or DEFAULT_CONFIG
+def from_two_arrow(cycle: TwoArrowCycle) -> VirtualAutomorphism:
     alpha = cycle.alpha
     beta = cycle.beta
     if alpha.pres != beta.pres:
@@ -233,15 +196,13 @@ def from_two_arrow(
         return identity_vaut(alpha)
     v = VirtualAutomorphism(alpha, beta, cycle.forward, cycle.backward)
     try:
-        validate_vaut(v, cfg)
+        validate_vaut(v)
     except (ValueError, KeyError) as exc:
         raise IdentificationInvalid(str(exc)) from exc
     return v
 
 
-def vaut_from_automorphism(
-    phi: Automorphism, domain: Subgroup, config: Optional[RunConfig] = None
-) -> VirtualAutomorphism:
+def vaut_from_automorphism(phi: Automorphism, domain: Subgroup) -> VirtualAutomorphism:
     """Restrict a verified ambient automorphism to a finite-index subgroup."""
     if not phi.verified:
         raise ValueError("automorphism must carry verified inverse images")
@@ -252,7 +213,7 @@ def vaut_from_automorphism(
         for t in schreier_generators(codomain)
     )
     v = VirtualAutomorphism(domain, codomain, images, inverse_images)
-    validate_vaut(v, config)
+    validate_vaut(v)
     return v
 
 
@@ -260,16 +221,12 @@ def vaut_from_automorphism(
 # Germ arithmetic.
 
 
-def germ_equals(
-    v: VirtualAutomorphism,
-    w: VirtualAutomorphism,
-    within: Optional[Subgroup] = None,
-) -> bool:
+def germ_equals(v: VirtualAutomorphism, w: VirtualAutomorphism) -> bool:
     """Agreement on the Schreier generators of the common domain.
 
-    ``within`` optionally deepens the comparison subgroup; by unique root
-    extraction in the ambient surface group, generator-level agreement on
-    any finite-index subgroup already decides the germ.
+    By unique root extraction in the ambient surface group, generator-level
+    agreement on any finite-index subgroup already decides the germ, so the
+    common domain itself is the cheapest subgroup that does.
     """
     pres = v.domain.pres
     if not isinstance(pres, SurfacePresentation):
@@ -277,8 +234,6 @@ def germ_equals(
     if w.domain.pres != pres:
         return False
     common = intersect(v.domain, w.domain)
-    if within is not None:
-        common = intersect(common, within)
     for s in schreier_generators(common):
         if not words_equal(pres, apply_vaut(v, s), apply_vaut(w, s)):
             return False
@@ -364,7 +319,7 @@ def inverse(
     if any(s is None for s in solved):
         raise NotInvertible("no inverse witness found within the length bound")
     out = VirtualAutomorphism(cod, dom, tuple(solved), v.images)  # type: ignore[arg-type]
-    validate_vaut(out, cfg)
+    validate_vaut(out)
     return out
 
 
@@ -388,7 +343,7 @@ def compose(
         for t in schreier_generators(new_codomain)
     )
     out = VirtualAutomorphism(new_domain, new_codomain, images, inverse_images)
-    validate_vaut(out, cfg)
+    validate_vaut(out)
     return out
 
 
@@ -524,73 +479,3 @@ def bounded_mcl_search(
             raise BudgetExceeded(str(exc)) from exc
     return None
 
-
-def caut_witness(v: VirtualAutomorphism, char: CharSubgroup) -> bool:
-    """True iff v setwise fixes the given certified characteristic subgroup."""
-    return is_mcl_witness(v, char.subgroup)
-
-
-# ---------------------------------------------------------------------------
-# Rebasing a germ over a chosen cover.
-
-
-def rebase_vaut(
-    v: VirtualAutomorphism,
-    cover: Subgroup,
-    restrict: bool = True,
-    config: Optional[RunConfig] = None,
-) -> RebasedVaut:
-    """Express the germ of v over the presentation of ``cover``.
-
-    With ``restrict`` the domain is first germ-restricted to the largest
-    subgroup mapped into the cover from inside it; without it, domain and
-    codomain must already be contained in the cover or NotRestrictable is
-    raised.
-    """
-    cfg = config or DEFAULT_CONFIG
-    small = intersect(preimage_subgroup(v, cover), cover) if restrict else v.domain
-    v_inv = inverse(v, cfg)
-    image = preimage_subgroup(v_inv, small)
-    dom_arrow = factor_through(small, cover)
-    cod_arrow = factor_through(image, cover)
-    if dom_arrow is None or cod_arrow is None:
-        raise NotRestrictable("domain or codomain is not contained in the requested cover")
-    generators = cover.schreier.generators
-    rel_dom = restrict_to_cover(dom_arrow)
-    rel_cod = restrict_to_cover(cod_arrow)
-
-    def over_cover(u: VirtualAutomorphism, rel: Subgroup) -> tuple[Word, ...]:
-        return tuple(
-            rewrite_in_schreier_generators(cover, apply_vaut(u, substitute(generators, g)))
-            for g in schreier_generators(rel)
-        )
-
-    out = VirtualAutomorphism(
-        rel_dom, rel_cod, over_cover(v, rel_dom), over_cover(v_inv, rel_cod)
-    )
-    validate_vaut(out, cfg, cover=cover)
-    return RebasedVaut(cover, out)
-
-
-def apply_rebased(rb: RebasedVaut, w: Iterable[int]) -> Word:
-    """Apply a rebased germ to an ambient word of its flattened domain."""
-    over_cover = rewrite_in_schreier_generators(rb.cover, w)
-    image = apply_vaut(rb.vaut, over_cover)
-    return substitute(rb.cover.schreier.generators, image)
-
-
-def rebase_back(
-    rb: RebasedVaut, config: Optional[RunConfig] = None
-) -> VirtualAutomorphism:
-    """Forget the rebasing: a germ-equal virtual automorphism over the base."""
-    cfg = config or DEFAULT_CONFIG
-    domain = flatten_cover_subgroup(rb.cover, rb.vaut.domain)
-    codomain = flatten_cover_subgroup(rb.cover, rb.vaut.codomain)
-    rb_inv = RebasedVaut(rb.cover, inverse(rb.vaut, cfg))
-    images = tuple(apply_rebased(rb, s) for s in schreier_generators(domain))
-    inverse_images = tuple(
-        apply_rebased(rb_inv, t) for t in schreier_generators(codomain)
-    )
-    out = VirtualAutomorphism(domain, codomain, images, inverse_images)
-    validate_vaut(out, cfg)
-    return out

@@ -7,10 +7,15 @@ from covertower import (
     CovertowerError,
     IntersectionIndexOverflow,
     RunConfig,
+    SurfacePresentation,
+    build_char_tower,
+    identity_vaut,
     make_subgroup,
     store_doc,
     subgroup_doc,
     subgroup_from_doc,
+    tower_doc,
+    vaut_doc,
 )
 from covertower.cli import UsageError, main
 
@@ -395,6 +400,74 @@ def test_forged_tower_edges_exit_six(tmp_path, capsys):
         assert code == 6
         assert out == ""
         assert json.loads(err)["error"] == "SchemaError"
+
+
+def _forged_vaut(pres2, index_two_subgroups):
+    return vaut_doc(identity_vaut(index_two_subgroups[0]))
+
+
+def _forged_tower(pres2, index_two_subgroups):
+    return tower_doc(build_char_tower(pres2, [{"kind": "homology", "n": 2}]))
+
+
+def _node_certificate(doc):
+    return doc["nodes"][1]["subgroup"]["certificate"]
+
+
+_VAUT_INVERT = ["vaut", "invert"]
+_LEDGER_CHECK = ["ledger", "check", "--tower"]
+
+
+@pytest.mark.parametrize(
+    "verb, source, mutate",
+    [
+        pytest.param(_VAUT_INVERT, _forged_vaut, lambda d: d["images"][0].append(9),
+                     id="vaut-image-letter"),
+        pytest.param(_VAUT_INVERT, _forged_vaut, lambda d: d["inverseImages"][0].append(7),
+                     id="vaut-witness-letter"),
+        pytest.param(_LEDGER_CHECK, _forged_tower,
+                     lambda d: _node_certificate(d).update(kind="bogus"),
+                     id="certificate-kind"),
+        pytest.param(_LEDGER_CHECK, _forged_tower,
+                     lambda d: _node_certificate(d).update(auts=[{"name": "x", "images": [[9]] * 4}]),
+                     id="certificate-aut-letter"),
+        pytest.param(_LEDGER_CHECK, _forged_tower,
+                     lambda d: _node_certificate(d).update(level=-3),
+                     id="certificate-level"),
+    ],
+)
+def test_malformed_documents_exit_six(
+    tmp_path, capsys, pres2, index_two_subgroups, verb, source, mutate
+):
+    doc = source(pres2, index_two_subgroups)
+    mutate(doc)
+    (tmp_path / "forged.json").write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "--workspace", str(tmp_path), *verb, "forged.json")
+    assert code == 6
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("verb", ["intersect", "vaut compose", "vaut reduce"])
+def test_mixed_genus_inputs_exit_four(tmp_path, capsys, index_two_subgroups, verb):
+    ws = str(tmp_path)
+    pres3 = SurfacePresentation(3)
+    genus_three = make_subgroup(pres3, [(1, 0)] + [(0, 1)] * 5)
+    a = store_doc(tmp_path, subgroup_doc(index_two_subgroups[0])).name
+    b = store_doc(tmp_path, subgroup_doc(genus_three)).name
+    if verb == "vaut compose":
+        a, b = (
+            _run_json(capsys, "--workspace", ws, "vaut", "identity", "--subgroup", x)["file"]
+            for x in (a, b)
+        )
+    operands = [a, b, a] if verb == "vaut reduce" else [a, b]
+    code, out, err = _run(capsys, "--workspace", ws, *verb.split(), *operands)
+    assert code == 4
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "InconsistentInput",
+        "message": "subgroups of different presentations",
+    }
 
 
 def _subclasses(cls):

@@ -136,6 +136,11 @@ def test_tower_round_trip(tower):
     assert back.edges == tower.edges
 
 
+def _certificate(doc):
+    """The certificate of the tower's degree-16 node."""
+    return doc["nodes"][1]["subgroup"]["certificate"]
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -149,6 +154,19 @@ def test_tower_round_trip(tower):
             sub=d["edges"][0]["super"], super=d["edges"][0]["sub"]
         ),
         lambda d: d["edges"][0].update(relativeDegree=8),
+        # Forged certificates: an unknown kind, a level below 1, and
+        # automorphisms that are out of range, not lists, or not automorphisms.
+        lambda d: _certificate(d).update(kind="bogus"),
+        lambda d: _certificate(d).update(level=-3),
+        lambda d: _certificate(d).update(level=0),
+        lambda d: _certificate(d).update(auts=[{"name": "x", "images": [[9]] * 4}]),
+        lambda d: _certificate(d).update(auts=5),
+        lambda d: _certificate(d).update(
+            auts=[{"name": "x", "images": [[1], [1], [3], [4]], "inverseImages": [[1], [1], [3], [4]]}]
+        ),
+        lambda d: _certificate(d).update(auts=[{"name": "x", "images": [[3], [4], [1], [2]]}]),
+        lambda d: d.update(genus=1),
+        lambda d: d.update(genus=3),
     ],
 )
 def test_malformed_tower_documents(tower, mutate):
