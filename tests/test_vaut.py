@@ -311,14 +311,20 @@ def test_many_random_cycles_reduce_consistently(pres):
         assert germ_equals(vl, vr)
 
 
-def test_mcl_witness_and_search(pres, h1, mod4_cover):
+def test_mcl_witness_and_search(pres, h1):
+    v = vaut_from_automorphism(handle_swap(pres), h1)
+    k2 = homology_cover(pres, 2).subgroup
+    assert is_mcl_witness(v, k2)
+    found = bounded_mcl_search(v, 4)
+    assert found is not None
+    assert is_mcl_witness(v, found)
+    assert found.index <= 4
+
+
+def test_caut_witness(pres, h1, mod4_cover):
     v = vaut_from_automorphism(handle_swap(pres), h1)
     # Homology covers are characteristic, so the handle swap fixes each
     # one inside its domain setwise.
     for cover in (homology_cover(pres, 2).subgroup, mod4_cover):
         assert is_mcl_witness(v, cover)
-    found = bounded_mcl_search(v, 4)
-    assert found is not None
-    assert is_mcl_witness(v, found)
-    assert found.index <= 4
 
