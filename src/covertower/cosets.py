@@ -6,11 +6,17 @@ G on H\\G: ``table[c][j]`` is the coset reached from coset ``c`` by the
 basepoint coset is H itself, so ``w in H`` iff tracing ``w`` from the
 basepoint returns to it.
 
-Every ``Subgroup`` is canonical: its constructor relabels cosets by
-breadth-first search from the basepoint it is given, scanning each coset's
-neighbours in the fixed alphabet order x1, x1^-1, x2, x2^-1, ..., so the
-basepoint is always coset 0.  Two subgroups are equal iff their canonical
-tables are identical, which makes subgroup equality a tuple comparison.
+Every ``Subgroup`` is canonical: its cosets are labelled by breadth-first
+search from the basepoint, scanning each coset's neighbours in the fixed
+alphabet order x1, x1^-1, x2, x2^-1, ..., so the basepoint is always
+coset 0.  Two subgroups are equal iff their canonical tables are identical,
+which makes subgroup equality a tuple comparison.  Tables the library
+builds canonical, transitive and relator-closed by construction (the
+low-index search, intersection and flattening of already validated
+tables) come through the trusted builder ``Subgroup._trusted``, which
+checks nothing.  Every other table goes through the full constructor,
+which checks the columns, the transitivity and the relators and relabels
+the cosets from the basepoint it is given.
 
 Every orbit walk that builds or checks a table (the constructor itself,
 intersection, tables from permutations, flattening a relative table, and
@@ -111,6 +117,16 @@ class Subgroup:
                     )
         if rows != table:
             object.__setattr__(self, "table", rows)
+
+    @classmethod
+    def _trusted(cls, pres: Presentation, table: tuple[tuple[int, ...], ...]) -> Subgroup:
+        """The subgroup of rows that are already canonical, transitive and
+        relator-closed, with no check: the same fields as the constructor,
+        without ``__post_init__``."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "pres", pres)
+        object.__setattr__(sub, "table", table)
+        return sub
 
     @cached_property
     def inverse_table(self) -> tuple[tuple[int, ...], ...]:
@@ -359,9 +375,10 @@ def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subg
     """Intersection: the orbit of (0, 0) in the product action."""
     if a.pres != b.pres:
         raise InconsistentInput("subgroups of different presentations")
+    # The product action of two valid tables satisfies every relator.
     try:
-        return _orbit_table(
-            a.pres,
+        rows = _orbit_rows(
+            a.pres.generator_count,
             (0, 0),
             lambda p, x: (a.act_letter(p[0], x), b.act_letter(p[1], x)),
             max_index,
@@ -370,6 +387,7 @@ def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subg
         raise IntersectionIndexOverflow(
             f"intersection exceeds index cap {max_index}"
         ) from None
+    return Subgroup._trusted(a.pres, rows)
 
 
 def conjugate_subgroup(sub: Subgroup, w: Iterable[int]) -> Subgroup:
@@ -444,7 +462,9 @@ def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
 
     ``relative`` must be a coset table over the Reidemeister-Schreier
     presentation of ``outer``; the result is the corresponding subgroup of
-    the ambient group, of index index(outer) * index(relative).
+    the ambient group, of index index(outer) * index(relative).  That
+    precondition is what makes the flattened table relator-closed, so it
+    is built by the trusted builder.
     """
     system = outer.schreier
     if relative.pres.generator_count != len(system.generators):
@@ -463,7 +483,9 @@ def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
             e = relative.act_letter(e, gen)
         return d, e
 
-    return _orbit_table(outer.pres, (0, 0), step)
+    # Each relator of the base rewrites to a relator of the cover's
+    # presentation, which the validated relative table satisfies.
+    return Subgroup._trusted(outer.pres, _orbit_rows(outer.pres.generator_count, (0, 0), step))
 
 
 def twisted_subgroup(sub: Subgroup, generator_words: Sequence[Word]) -> Subgroup:

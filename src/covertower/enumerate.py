@@ -8,7 +8,10 @@ subgroup of index <= max_index is produced exactly once, with no conjugacy
 collapsing.  Each new cell goes on a deduction stack; popping it traces only
 the relator cycles that start with that cell, which forces further cells
 and prunes dead branches early.  A first-undefined pointer passed down the
-search only moves forward along a branch.  Each subgroup is handed on as
+search only moves forward along a branch.  A complete table has had every
+relator cycle traced through every cell, so it is relator-closed as well as
+canonical and transitive, and it is built by ``Subgroup._trusted``
+without a second check.  Each subgroup is handed on as
 the search completes it; ``low_index_subgroups`` collects and sorts them.
 """
 
@@ -111,7 +114,7 @@ def _each_subgroup(
         if pos == end:
             table = tuple(tuple(tab[c * width : (c + 1) * width : 2]) for c in range(n))
             found += 1
-            emit(Subgroup(pres, table))
+            emit(Subgroup._trusted(pres, table))
             return
         c, col = divmod(pos, width)
         for d in range(n + (n < max_index)):

@@ -15,6 +15,14 @@ pulled-back cup product).  If the images span a subspace of H_1(K, Z/2) of
 dimension at least h+1, the free case is excluded, finite index forces
 M = K by comparing first Betti numbers, and Hopficity upgrades the map to
 an isomorphism.
+
+``validate_vaut`` runs where a germ enters: ``vaut_from_automorphism``,
+``from_two_arrow``, the witness-free branch of ``inverse`` (its witnesses
+come from a search) and documents loaded by the CLI.  It does not run after
+``compose``: the composite of two certified germs is an isomorphism
+v^-1(overlap) -> w(overlap) whose images and witnesses are compositions of
+certified maps, so it is built by the trusted ``_composed`` without a
+second check.
 """
 
 from __future__ import annotations
@@ -323,6 +331,25 @@ def inverse(
     return out
 
 
+def _composed(
+    domain: Subgroup,
+    codomain: Subgroup,
+    images: tuple[Word, ...],
+    inverse_images: tuple[Word, ...],
+) -> VirtualAutomorphism:
+    """The composite germ of two certified ones, with no second check."""
+    return VirtualAutomorphism(domain, codomain, images, inverse_images)
+
+
+def _held(sub: Subgroup, inputs: Sequence[Subgroup]) -> Subgroup:
+    """The input that holds ``sub``'s table, so that its Schreier system is
+    reused, else ``sub``.  All of them live over one presentation."""
+    for held in inputs:
+        if held.table == sub.table:
+            return held
+    return sub
+
+
 def compose(
     v: VirtualAutomorphism,
     w: VirtualAutomorphism,
@@ -330,21 +357,20 @@ def compose(
 ) -> VirtualAutomorphism:
     """Apply v first, then w, on the largest domain where that makes sense."""
     cfg = config or DEFAULT_CONFIG
-    overlap = intersect(v.codomain, w.domain)
-    new_domain = preimage_subgroup(v, overlap)
+    held = (v.domain, v.codomain, w.domain, w.codomain)
+    overlap = _held(intersect(v.codomain, w.domain), held)
+    new_domain = _held(preimage_subgroup(v, overlap), held)
     images = tuple(
         apply_vaut(w, apply_vaut(v, s)) for s in schreier_generators(new_domain)
     )
     w_inv = inverse(w, cfg)
     v_inv = inverse(v, cfg)
-    new_codomain = preimage_subgroup(w_inv, overlap)
+    new_codomain = _held(preimage_subgroup(w_inv, overlap), held)
     inverse_images = tuple(
         apply_vaut(v_inv, apply_vaut(w_inv, t))
         for t in schreier_generators(new_codomain)
     )
-    out = VirtualAutomorphism(new_domain, new_codomain, images, inverse_images)
-    validate_vaut(out)
-    return out
+    return _composed(new_domain, new_codomain, images, inverse_images)
 
 
 # ---------------------------------------------------------------------------

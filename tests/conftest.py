@@ -1,6 +1,62 @@
 import pytest
 
-from covertower import SurfacePresentation, homology_cover, low_index_subgroups
+from covertower import (
+    Subgroup,
+    SurfacePresentation,
+    homology_cover,
+    low_index_subgroups,
+    validate_vaut,
+)
+from covertower import vaut
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "trusted_path: run the library's trusted builders unchecked, as outside the tests",
+    )
+
+
+_TRUSTED_SUBGROUP = Subgroup.__dict__["_trusted"]
+_COMPOSED = vaut._composed
+
+
+def _checked_subgroup(cls, pres, table):
+    sub = Subgroup(pres, table)
+    assert sub.table == table, "a trusted table was not canonical"
+    return sub
+
+
+def _checked_vaut(*fields):
+    v = _COMPOSED(*fields)
+    validate_vaut(v)
+    return v
+
+
+@pytest.fixture(scope="session", autouse=True)
+def full_validation():
+    """Route both trusted builders through the full validators.
+
+    The library builds the tables of the low-index search, of ``intersect``
+    and of ``flatten_cover_subgroup`` with ``Subgroup._trusted`` and the germs
+    of ``compose`` with ``vaut._composed``, and checks neither.  In the tests
+    every such table goes through the full ``Subgroup`` constructor and must
+    come back unchanged (it was already canonical), and every composed germ
+    goes through ``validate_vaut``.  Session scope puts the session fixtures
+    under the same checks.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subgroup, "_trusted", classmethod(_checked_subgroup))
+        mp.setattr(vaut, "_composed", _checked_vaut)
+        yield
+
+
+@pytest.fixture(autouse=True)
+def trusted_path(request, monkeypatch):
+    """A test marked ``trusted_path`` runs the trusted builders unchecked."""
+    if request.node.get_closest_marker("trusted_path"):
+        monkeypatch.setattr(Subgroup, "_trusted", _TRUSTED_SUBGROUP)
+        monkeypatch.setattr(vaut, "_composed", _COMPOSED)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from covertower import (
     BudgetExceeded,
     GenericPresentation,
     RunConfig,
+    Subgroup,
     SurfacePresentation,
     is_normal,
     low_index_subgroups,
@@ -130,6 +131,20 @@ def test_emitted_tables_are_canonical_and_unique(pres2):
         assert sub.table == bfs_canonical(sub.table, 0)
         assert sub.table not in seen
         seen.add(sub.table)
+
+
+@pytest.mark.trusted_path
+@pytest.mark.parametrize("genus, max_index", [(2, 3), (3, 2)])
+def test_trusted_tables_pass_the_full_constructor(genus, max_index):
+    # The search builds its tables unchecked; each must already be what the
+    # full constructor makes of it: valid, transitive and canonical.
+    pres = SurfacePresentation(genus)
+    subs = low_index_subgroups(pres, max_index)
+    assert subs
+    for sub in subs:
+        full = Subgroup(pres, sub.table)
+        assert full == sub
+        assert full.table is sub.table
 
 
 def test_enumeration_is_deterministic(pres2):

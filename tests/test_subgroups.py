@@ -32,6 +32,7 @@ from covertower import (
     is_subgroup_of,
     low_index_subgroups,
     make_subgroup,
+    preimage_subgroup,
     reidemeister_schreier,
     restrict_to_cover,
     rewrite_in_schreier_generators,
@@ -40,6 +41,7 @@ from covertower import (
     subgroup_from_doc,
     substitute,
     twisted_subgroup,
+    vaut_from_automorphism,
 )
 from covertower import cosets
 
@@ -355,6 +357,30 @@ def test_restrict_and_flatten_round_trip(index_two_subgroups):
     relative = restrict_to_cover(factor_through(inner, outer))
     assert relative.index * outer.index == inner.index
     assert flatten_cover_subgroup(outer, relative) == inner
+
+
+@pytest.mark.trusted_path
+def test_trusted_intersections_and_flattenings_pass_the_full_constructor(
+    pres2, index_two_subgroups, mod4_cover
+):
+    # The vaut-laws inputs (the index-2 covers, their intersections and the
+    # mod-4 cover), intersected and flattened through the trusted builder:
+    # each result must already be what the full constructor makes of it.
+    results = []
+    swap = vaut_from_automorphism(handle_swap(pres2), mod4_cover)
+    for i, a in enumerate(index_two_subgroups):
+        results.append(intersect(a, mod4_cover))
+        results.append(flatten_cover_subgroup(a, restrict_to_cover(factor_through(mod4_cover, a))))
+        results.append(preimage_subgroup(swap, a))
+        for b in index_two_subgroups[i:]:
+            inner = intersect(a, b)
+            results.append(inner)
+            results.append(flatten_cover_subgroup(a, restrict_to_cover(factor_through(inner, a))))
+    assert {sub.index for sub in results} == {2, 4, 256}
+    for sub in results:
+        full = Subgroup(pres2, sub.table)
+        assert full == sub
+        assert full.table is sub.table
 
 
 def test_twisted_by_generators_is_identity(index_two_subgroups):

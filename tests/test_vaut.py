@@ -34,6 +34,7 @@ from covertower import (
     vaut_from_automorphism,
     words_equal,
 )
+from covertower import cosets, vaut
 from covertower.cosets import flatten_cover_subgroup
 from covertower.vaut import _exponent_row_mod2
 
@@ -230,7 +231,7 @@ def test_compose_with_inverse_is_identity_germ(pres, h1):
 
 def test_compose_on_the_mod_five_cover_hashes_no_subgroup(pres, monkeypatch):
     # Rewriting reads each subgroup's own Schreier system, so composing
-    # never hashes or compares whole coset tables.
+    # never hashes a subgroup or calls subgroup equality.
     v = vaut_from_automorphism(handle_swap(pres), homology_cover(pres, 5).subgroup)
     assert v.domain.index == 625
     calls = {"eq": 0, "hash": 0}
@@ -328,3 +329,78 @@ def test_caut_witness(pres, h1, mod4_cover):
     for cover in (homology_cover(pres, 2).subgroup, mod4_cover):
         assert is_mcl_witness(v, cover)
 
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    validate = vaut.validate_vaut
+
+    def counted(v):
+        calls.append(v)
+        validate(v)
+
+    monkeypatch.setattr(vaut, "validate_vaut", counted)
+    return calls
+
+
+@pytest.mark.trusted_path
+def test_group_law_composites_are_certified(pres, mod4_cover, monkeypatch):
+    # The vaut-laws cases: only the three restrictions of ambient
+    # automorphisms are validated where they enter; every composite is an
+    # isomorphism by construction, which validate_vaut confirms here.
+    validations = _count_validations(monkeypatch)
+    a = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    b = vaut_from_automorphism(inner_automorphism(pres, (2, -3)), a.codomain)
+    c = vaut_from_automorphism(inner_automorphism(pres, (1, 4)), b.codomain)
+    laws = [
+        (compose(identity_vaut(mod4_cover), a), a),
+        (compose(a, identity_vaut(a.codomain)), a),
+        (compose(a, inverse(a)), identity_vaut(mod4_cover)),
+        (compose(inverse(a), a), identity_vaut(a.codomain)),
+    ]
+    bc = compose(b, c)
+    ab = compose(a, b)
+    laws.append((compose(ab, c), compose(a, bc)))
+    assert len(validations) == 3
+    for composite in (ab, bc, *(lhs for lhs, _ in laws), laws[-1][1]):
+        validate_vaut(composite)
+        assert composite.domain.index == 256
+    for lhs, rhs in laws:
+        assert germ_equals(lhs, rhs)
+
+
+@pytest.mark.trusted_path
+def test_zigzag_validates_only_where_it_enters(index_two_subgroups, monkeypatch):
+    # Reducing a zigzag composes only certified germs; the two-arrow
+    # cycles are checked once each as they come back in.
+    a, b = index_two_subgroups[2], index_two_subgroups[5]
+    path = cycle_from_subgroups([a, intersect(a, b), b])
+    validations = _count_validations(monkeypatch)
+    left = reduce_cycle(path, order="left")
+    right = reduce_cycle(path, order="right")
+    assert validations == []
+    vl, vr = from_two_arrow(left), from_two_arrow(right)
+    assert len(validations) == 2
+    assert germ_equals(vl, vr)
+
+
+@pytest.mark.trusted_path
+def test_compose_reuses_the_inputs_schreier_systems(pres, mod4_cover, monkeypatch):
+    # The overlap, domain and codomain of a round trip are tables the inputs
+    # already hold, so their instances and Schreier systems are reused.
+    a = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    a_inv = inverse(a)
+    builds = []
+    build = cosets._schreier_system
+
+    def counted(sub):
+        builds.append(sub)
+        return build(sub)
+
+    monkeypatch.setattr(cosets, "_schreier_system", counted)
+    out = compose(a, a_inv)
+    assert builds == []
+    held = (a.domain, a.codomain)
+    assert any(out.domain is s for s in held)
+    assert any(out.codomain is s for s in held)
+    assert germ_equals(out, identity_vaut(mod4_cover))
