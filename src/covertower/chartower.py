@@ -27,14 +27,14 @@ from .cosets import (
     contains,
     covering_genus,
     factor_through,
-    flatten_cover_subgroup,
     full_subgroup,
     intersect,
     is_normal,
     is_subgroup_of,
     restrict_to_cover,
     schreier_generators,
-    _orbit_table,
+    _flatten_cover_subgroup,
+    _orbit_rows,
 )
 from .enumerate import _each_subgroup, low_index_subgroups
 from .errors import (
@@ -71,15 +71,16 @@ CharKind = str  # "hom-kernel-intersection" | "homology-level" | "intersection" 
 class Automorphism:
     """Automorphism of the ambient surface group, given on generators.
 
-    An instance counts as verified only when explicit inverse images are
-    supplied; construction checks that both directions are endomorphisms
-    (the relator maps to the identity) and compose to the identity on
-    generators.
+    ``images`` are the generators' images and ``inverse_images`` those of
+    the inverse map.  Construction checks both directions with
+    ``check_automorphism``: each kills the relator, and each undoes the
+    other on every generator.  A map that fails, or that has no inverse
+    images (None), raises ValueError, so every instance is an automorphism.
     """
 
     pres: SurfacePresentation
     images: tuple[Word, ...]
-    inverse_images: Optional[tuple[Word, ...]] = None
+    inverse_images: Optional[tuple[Word, ...]]
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -93,21 +94,16 @@ class Automorphism:
                 raise ValueError("need one inverse image per generator")
             for w in self.inverse_images:
                 validate_word(self.pres, w)
-
-    @property
-    def verified(self) -> bool:
-        return self.inverse_images is not None
+        check_automorphism(self)
 
 
 def apply_automorphism(phi: Automorphism, w: Iterable[int], inverse: bool = False) -> Word:
-    images = phi.inverse_images if inverse else phi.images
-    if images is None:
-        raise ValueError("automorphism has no inverse images")
-    return substitute(images, w)
+    return substitute(phi.inverse_images if inverse else phi.images, w)
 
 
 def check_automorphism(phi: Automorphism) -> None:
-    """Raise ValueError unless phi is a verified automorphism."""
+    """Raise ValueError unless phi's images and inverse images are mutually
+    inverse automorphisms; ``Automorphism`` runs it on construction."""
     pres = phi.pres
     for r in pres.relators:
         if not is_identity(pres, apply_automorphism(phi, r)):
@@ -153,9 +149,7 @@ def handle_swap(pres: SurfacePresentation) -> Automorphism:
     for j in range(5, k + 1):
         images.append((j,))
         inv.append((j,))
-    phi = Automorphism(pres, tuple(images), tuple(inv), name="handle-swap")
-    check_automorphism(phi)
-    return phi
+    return Automorphism(pres, tuple(images), tuple(inv), name="handle-swap")
 
 
 def builtin_test_automorphisms(pres: SurfacePresentation) -> tuple[Automorphism, ...]:
@@ -185,7 +179,8 @@ def _kernel_core(pres: Presentation, n: int, cfg: RunConfig) -> Subgroup:
         if index > cap:
             raise IntersectionIndexOverflow(f"core at n=2 has index {index}, above cap {cap}")
         red = [_f2_reduce(basis, 1 << j) for j in range(pres.generator_count)]
-        return _orbit_table(pres, 0, lambda v, x: v ^ red[abs(x) - 1])
+        rows = _orbit_rows(pres.generator_count, 0, lambda v, x: v ^ red[abs(x) - 1])
+        return Subgroup(pres, rows)
     core, used = full_subgroup(pres), 0
 
     def meet(s: Subgroup) -> None:
@@ -258,8 +253,6 @@ def homology_cover(
     if n < 1:
         raise ValueError("n must be >= 1")
     k = pres.generator_count
-    if n == 1:
-        return CharSubgroup(full_subgroup(pres), CharCertificate("homology-level", level=1))
     size = n**k
     if size > cfg.max_result_index:
         raise IndexOverflow(
@@ -273,14 +266,14 @@ def homology_cover(
         digit = (c // p) % n
         return c + ((digit + (1 if x > 0 else -1)) % n - digit) * p
 
-    sub = _orbit_table(pres, 0, step)
+    sub = Subgroup(pres, _orbit_rows(k, 0, step))
     return CharSubgroup(sub, CharCertificate("homology-level", level=n))
 
 
 def is_invariant_under(
     sub: Subgroup, auts: Sequence[Automorphism]
 ) -> bool:
-    """True iff phi(sub) = sub for every verified automorphism supplied.
+    """True iff phi(sub) = sub for every automorphism supplied.
 
     Membership of every Schreier generator image suffices: an automorphism
     preserves the index, and a finite-index subgroup containing an
@@ -288,8 +281,6 @@ def is_invariant_under(
     """
     gens = schreier_generators(sub)
     for phi in auts:
-        if not phi.verified:
-            raise ValueError("automorphism must carry verified inverse images")
         for s in gens:
             if not contains(sub, apply_automorphism(phi, s)):
                 return False
@@ -328,7 +319,9 @@ def char_core_within(
     core = _kernel_core(rel.pres, rel.index, config or DEFAULT_CONFIG)
     assert is_subgroup_of(core, rel)
     assert is_normal(core)
-    absolute = flatten_cover_subgroup(arrow.super, core)
+    # ``core`` is a table over ``rel.pres``, the cover's Reidemeister-Schreier
+    # presentation, as flattening requires.
+    absolute = _flatten_cover_subgroup(arrow.super, core)
     assert is_subgroup_of(absolute, arrow.sub)
     cert = CharCertificate("hom-kernel-intersection", level=rel.index)
     return RelativeCharSubgroup(arrow.super, core, absolute, cert)

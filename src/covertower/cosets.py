@@ -10,13 +10,17 @@ Every ``Subgroup`` is canonical: its cosets are labelled by breadth-first
 search from the basepoint, scanning each coset's neighbours in the fixed
 alphabet order x1, x1^-1, x2, x2^-1, ..., so the basepoint is always
 coset 0.  Two subgroups are equal iff their canonical tables are identical,
-which makes subgroup equality a tuple comparison.  Tables the library
-builds canonical, transitive and relator-closed by construction (the
-low-index search, intersection and flattening of already validated
-tables) come through the trusted builder ``Subgroup._trusted``, which
-checks nothing.  Every other table goes through the full constructor,
-which checks the columns, the transitivity and the relators and relabels
-the cosets from the basepoint it is given.
+which makes subgroup equality a tuple comparison.  Every public builder
+checks once, through the full constructor, which checks the columns, the
+transitivity and the relators and relabels the cosets from the basepoint
+it is given; ``make_subgroup`` is that constructor read by columns, one
+permutation per generator.  Only three functions call the unchecked
+``Subgroup._trusted``, each on rows that are canonical, transitive and
+relator-closed by construction: ``enumerate._each_subgroup`` (the
+low-index search), ``intersect`` (the orbit of two validated product
+actions) and the private ``_flatten_cover_subgroup`` (the orbit over a
+relative table that its callers build over the cover's
+Reidemeister-Schreier presentation).
 
 Every orbit walk that builds or checks a table (the constructor itself,
 intersection, tables from permutations, flattening a relative table, and
@@ -204,16 +208,6 @@ def _orbit_rows(
     return tuple(rows)
 
 
-def _orbit_table(
-    pres: Presentation,
-    start: Hashable,
-    step: Callable[[Hashable, int], Hashable],
-    max_index: Optional[int] = None,
-) -> Subgroup:
-    """The subgroup whose coset table is the orbit of ``start`` (see _orbit_rows)."""
-    return Subgroup(pres, _orbit_rows(pres.generator_count, start, step, max_index))
-
-
 def make_subgroup(
     pres: Presentation,
     perms: Sequence[Sequence[int]],
@@ -223,8 +217,9 @@ def make_subgroup(
 
     Each entry of ``perms`` is the forward action of one generator on the
     points 0..n-1.  The stabilizer of ``basepoint`` is the subgroup being
-    described.  Relator violations on the basepoint's orbit raise
-    RelatorViolated; an orbit smaller than n raises NotTransitive.
+    described.  This is the constructor read by columns: an orbit smaller
+    than n raises NotTransitive, and a relator moving any point raises
+    RelatorViolated.
     """
     k = pres.generator_count
     if len(perms) != k:
@@ -237,20 +232,7 @@ def make_subgroup(
             raise ValueError("not a permutation of 0..n-1")
     if not (0 <= basepoint < n):
         raise ValueError("basepoint out of range")
-    inverses = [[0] * n for _ in range(k)]
-    for p, inv in zip(perms, inverses):
-        for c in range(n):
-            inv[p[c]] = c
-    sub = _orbit_table(
-        pres,
-        basepoint,
-        lambda c, x: perms[x - 1][c] if x > 0 else inverses[-x - 1][c],
-    )
-    if sub.index != n:
-        raise NotTransitive(
-            f"only {sub.index} of {n} cosets reachable from basepoint"
-        )
-    return sub
+    return Subgroup(pres, tuple(zip(*perms)), basepoint)
 
 
 def contains(sub: Subgroup, w: Iterable[int]) -> bool:
@@ -457,14 +439,16 @@ def restrict_to_cover(arrow: CoveringArrow) -> Subgroup:
     return Subgroup(reidemeister_schreier(arrow.super), table)
 
 
-def flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
+def _flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
     """Subgroup of the base group described by a relative table over a cover.
 
     ``relative`` must be a coset table over the Reidemeister-Schreier
     presentation of ``outer``; the result is the corresponding subgroup of
     the ambient group, of index index(outer) * index(relative).  That
     precondition is what makes the flattened table relator-closed, so it
-    is built by the trusted builder.
+    is built by the trusted builder, and it is why the function is
+    private: its two callers, ``chartower.char_core_within`` and
+    ``vaut.preimage_subgroup``, build ``relative`` over that presentation.
     """
     system = outer.schreier
     if relative.pres.generator_count != len(system.generators):

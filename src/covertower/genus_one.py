@@ -199,7 +199,10 @@ def vaut_as_matrix(
     ``iso`` is an integer change of coordinates carrying src basis rows to
     dst basis rows; it must be a bijection (determinant +-1) and preserve
     orientation (determinant +1).  The induced map on Z^2 tensor Q is
-    src^{-1} * iso * dst in the row convention.
+    src^{-1} * iso * dst in the row convention.  Since src^{-1} is
+    adj(src) / det(src) with det(src) > 0, and a positive scalar does not
+    change a Mobius map, the map is adj(src) * iso * dst, whose
+    determinant det(src) * det(dst) is positive.
     """
     iso_t = _int_matrix(iso)
     d = _det(iso_t)
@@ -208,21 +211,8 @@ def vaut_as_matrix(
     if d != 1:
         raise NotAnIsomorphism("identification reverses orientation")
     (a, b), (_, dd) = src.entries
-    det_src = src.determinant
-    src_inv = (
-        (Fraction(dd, det_src), Fraction(-b, det_src)),
-        (Fraction(0), Fraction(a, det_src)),
-    )
-    middle = _mat_mul(iso_t, dst.entries)
-    rows = []
-    for i in range(2):
-        rows.append(
-            [
-                src_inv[i][0] * middle[0][j] + src_inv[i][1] * middle[1][j]
-                for j in range(2)
-            ]
-        )
-    return mobius_from_rational_matrix(rows)
+    (p, q), (r, s) = _mat_mul(((dd, -b), (0, a)), _mat_mul(iso_t, dst.entries))
+    return _mobius(p, q, r, s)
 
 
 @dataclass(frozen=True)

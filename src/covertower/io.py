@@ -22,7 +22,6 @@ from .chartower import (
     TowerEdge,
     TowerGraph,
     TowerNode,
-    check_automorphism,
 )
 from .cosets import Subgroup, covering_genus, factor_through
 from .errors import SchemaError
@@ -87,10 +86,11 @@ def _words_from(raw, pres: Presentation) -> tuple[Word, ...]:
 
 
 def _automorphism_doc(phi: Automorphism) -> dict:
-    doc: dict = {"name": phi.name, "images": _words_doc(phi.images)}
-    if phi.inverse_images is not None:
-        doc["inverseImages"] = _words_doc(phi.inverse_images)
-    return doc
+    return {
+        "name": phi.name,
+        "images": _words_doc(phi.images),
+        "inverseImages": _words_doc(phi.inverse_images),
+    }
 
 
 def _automorphism_from(raw, pres: SurfacePresentation) -> Automorphism:
@@ -102,11 +102,9 @@ def _automorphism_from(raw, pres: SurfacePresentation) -> Automorphism:
     if "inverseImages" in raw:
         inverse = _words_from(raw["inverseImages"], pres)
     try:
-        phi = Automorphism(pres, images, inverse, name)
-        check_automorphism(phi)
+        return Automorphism(pres, images, inverse, name)
     except ValueError as exc:
         raise SchemaError(f"bad automorphism {name!r}: {exc}") from exc
-    return phi
 
 
 def _certificate_doc(cert: CharCertificate) -> dict:

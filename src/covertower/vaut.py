@@ -36,7 +36,6 @@ from .cosets import (
     Subgroup,
     contains,
     factor_through,
-    flatten_cover_subgroup,
     full_subgroup,
     intersect,
     is_subgroup_of,
@@ -44,6 +43,7 @@ from .cosets import (
     rewrite_in_schreier_generators,
     schreier_generators,
     twisted_subgroup,
+    _flatten_cover_subgroup,
 )
 from .chartower import Automorphism, apply_automorphism
 from .errors import BudgetExceeded, IdentificationInvalid, IndexOverflow, NotInvertible
@@ -211,10 +211,8 @@ def from_two_arrow(cycle: TwoArrowCycle) -> VirtualAutomorphism:
 
 
 def vaut_from_automorphism(phi: Automorphism, domain: Subgroup) -> VirtualAutomorphism:
-    """Restrict a verified ambient automorphism to a finite-index subgroup."""
-    if not phi.verified:
-        raise ValueError("automorphism must carry verified inverse images")
-    codomain = twisted_subgroup(domain, tuple(phi.inverse_images))
+    """Restrict an ambient automorphism to a finite-index subgroup."""
+    codomain = twisted_subgroup(domain, phi.inverse_images)
     images = tuple(apply_automorphism(phi, s) for s in schreier_generators(domain))
     inverse_images = tuple(
         apply_automorphism(phi, t, inverse=True)
@@ -273,8 +271,10 @@ def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
                 order.append(d)
             row.append(label[d])
         table.append(tuple(row))
+    # The full constructor checks ``table`` over the domain's
+    # Reidemeister-Schreier presentation, as flattening requires.
     rel = Subgroup(reidemeister_schreier(dom), tuple(table))
-    return flatten_cover_subgroup(dom, rel)
+    return _flatten_cover_subgroup(dom, rel)
 
 
 def inverse(

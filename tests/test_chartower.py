@@ -7,6 +7,7 @@ import pytest
 from coset_oracles import bfs_canonical, sym_kernel_intersection
 
 from covertower import (
+    Automorphism,
     CharCertificate,
     CharSubgroup,
     GenericPresentation,
@@ -24,7 +25,6 @@ from covertower import (
     contains,
     deck_group,
     fiber_product_preserves_char,
-    flatten_cover_subgroup,
     free_reduce,
     full_subgroup,
     handle_swap,
@@ -45,7 +45,8 @@ from covertower import (
     words_equal,
 )
 from covertower import chartower, cosets
-from covertower.cosets import Subgroup
+from covertower.chartower import check_automorphism
+from covertower.cosets import Subgroup, _flatten_cover_subgroup
 
 
 def _random_word(rng, k, max_len):
@@ -59,11 +60,20 @@ def test_automorphisms_round_trip():
     for genus in (2, 3):
         pres = SurfacePresentation(genus)
         for phi in builtin_test_automorphisms(pres):
-            assert phi.verified
+            check_automorphism(phi)
             for _ in range(25):
                 w = _random_word(rng, 2 * genus, 10)
                 back = apply_automorphism(phi, apply_automorphism(phi, w), inverse=True)
                 assert words_equal(pres, back, w)
+
+
+def test_a_map_that_is_not_an_automorphism_is_not_constructed(pres2):
+    # Every generator to a1, both ways: the relator dies, but the "inverse"
+    # does not undo the map.  A map with no inverse images is refused too.
+    with pytest.raises(ValueError, match="^inverse does not undo the automorphism$"):
+        Automorphism(pres2, ((1,),) * 4, ((1,),) * 4, "bogus")
+    with pytest.raises(ValueError, match="^no inverse images supplied$"):
+        Automorphism(pres2, ((3,), (4,), (1,), (2,)), None, "swap")
 
 
 def test_handle_swap_moves_the_first_handle(pres2):
@@ -170,7 +180,10 @@ def test_relative_core_at_index_two_refuses_without_a_search(pres2, monkeypatch)
 
 
 def test_homology_covers(pres2):
-    assert homology_cover(pres2, 1).subgroup.index == 1
+    for pres in (pres2, SurfacePresentation(3)):
+        one = homology_cover(pres, 1)
+        assert one.subgroup == full_subgroup(pres)
+        assert (one.certificate.kind, one.certificate.level) == ("homology-level", 1)
     two = homology_cover(pres2, 2)
     assert two.subgroup.index == 16
     assert two.certificate.kind == "homology-level"
@@ -262,7 +275,7 @@ def test_char_core_within_matches_mod_two_linear_algebra(index_two_subgroups):
     )
     oracle = Subgroup(pres, table, position[0])
     assert within.relative == oracle
-    assert within.absolute == flatten_cover_subgroup(ambient, oracle)
+    assert within.absolute == _flatten_cover_subgroup(ambient, oracle)
     assert is_subgroup_of(within.absolute, inner)
     assert within.absolute.index == 128
 

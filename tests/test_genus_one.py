@@ -173,6 +173,40 @@ def test_vaut_as_matrix_composes():
     assert left == vaut_as_matrix(src, dst, i12)
 
 
+def _primitive_matrix(rows):
+    """The rational matrix scaled to a primitive integer matrix whose first
+    nonzero entry is positive."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [int(x * scale) for row in rows for x in row]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    a, b, c, d = (x // g for x in ints)
+    return ((a, b), (c, d))
+
+
+def _product(m, n):
+    return [[sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def test_vaut_as_matrix_matches_the_rational_inverse():
+    # Oracle: src^-1 * iso * dst in Fractions, with the inverse written out.
+    rng = random.Random(29)
+    generators = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((0, -1), (1, 0)))
+    for _ in range(3000):
+        src, dst = (
+            SublatticeMatrix(((a, rng.randrange(d)), (0, d)))
+            for a, d in ((rng.randint(1, 12), rng.randint(1, 12)) for _ in range(2))
+        )
+        iso = ((1, 0), (0, 1))
+        for _ in range(rng.randint(0, 8)):
+            iso = _product(iso, rng.choice(generators))
+        (a, b), (_, d) = src.entries
+        inv = [[Fraction(1, a), Fraction(-b, a * d)], [Fraction(0), Fraction(1, d)]]
+        rows = _product(inv, _product(iso, dst.entries))
+        assert vaut_as_matrix(src, dst, iso).entries == _primitive_matrix(rows)
+
+
 def test_act_exact_example():
     p = act(mobius_from_integer_matrix([[2, 1], [0, 1]]), i_point())
     assert p.exact

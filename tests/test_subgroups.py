@@ -21,7 +21,6 @@ from covertower import (
     covering_genus,
     deck_group,
     factor_through,
-    flatten_cover_subgroup,
     free_reduce,
     full_subgroup,
     handle_swap,
@@ -44,6 +43,7 @@ from covertower import (
     vaut_from_automorphism,
 )
 from covertower import cosets
+from covertower.cosets import _flatten_cover_subgroup
 
 
 def _random_word(rng, k, max_len):
@@ -356,7 +356,7 @@ def test_restrict_and_flatten_round_trip(index_two_subgroups):
     inner = intersect(outer, index_two_subgroups[3])
     relative = restrict_to_cover(factor_through(inner, outer))
     assert relative.index * outer.index == inner.index
-    assert flatten_cover_subgroup(outer, relative) == inner
+    assert _flatten_cover_subgroup(outer, relative) == inner
 
 
 @pytest.mark.trusted_path
@@ -370,12 +370,12 @@ def test_trusted_intersections_and_flattenings_pass_the_full_constructor(
     swap = vaut_from_automorphism(handle_swap(pres2), mod4_cover)
     for i, a in enumerate(index_two_subgroups):
         results.append(intersect(a, mod4_cover))
-        results.append(flatten_cover_subgroup(a, restrict_to_cover(factor_through(mod4_cover, a))))
+        results.append(_flatten_cover_subgroup(a, restrict_to_cover(factor_through(mod4_cover, a))))
         results.append(preimage_subgroup(swap, a))
         for b in index_two_subgroups[i:]:
             inner = intersect(a, b)
             results.append(inner)
-            results.append(flatten_cover_subgroup(a, restrict_to_cover(factor_through(inner, a))))
+            results.append(_flatten_cover_subgroup(a, restrict_to_cover(factor_through(inner, a))))
     assert {sub.index for sub in results} == {2, 4, 256}
     for sub in results:
         full = Subgroup(pres2, sub.table)
@@ -413,6 +413,34 @@ def test_constructions_validate_once(pres2, monkeypatch):
     assert len(runs) == 1
     runs.clear()
     assert restrict_to_cover(factor_through(cover, mod2)).index == 256
+    assert len(runs) == 1
+
+
+def test_make_subgroup_walks_the_orbit_once(pres2, monkeypatch):
+    # make_subgroup is the constructor read by columns: one orbit walk and
+    # one validation, here on the mod-2 cover's action with shuffled points.
+    cover = homology_cover(pres2, 2).subgroup
+    sigma = list(range(cover.index))
+    random.Random(5).shuffle(sigma)
+    perms = [[0] * cover.index for _ in range(4)]
+    for c, row in enumerate(cover.table):
+        for j, d in enumerate(row):
+            perms[j][sigma[c]] = sigma[d]
+    walks, runs = [], []
+    orbit_rows, post_init = cosets._orbit_rows, Subgroup.__post_init__
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args)
+        return orbit_rows(*args, **kwargs)
+
+    def counted_init(self, *args):
+        runs.append(self)
+        post_init(self, *args)
+
+    monkeypatch.setattr(cosets, "_orbit_rows", counted_walk)
+    monkeypatch.setattr(Subgroup, "__post_init__", counted_init)
+    assert make_subgroup(pres2, perms, sigma[0]) == cover
+    assert len(walks) == 1
     assert len(runs) == 1
 
 

@@ -6,6 +6,9 @@ referenced by some other top-level statement of the package (imports and
 with the construction or trust boundary it serves.  A name that only tests
 reach fails here, so it is either given a caller, listed with a reason, or
 deleted.
+
+The unchecked builders are private, and only the callers listed in
+``UNCHECKED_CALLERS`` use them, each for a reason its inputs are valid.
 """
 
 import ast
@@ -24,7 +27,7 @@ ENTRY_POINTS = {
     "fiber_product_preserves_char": "chartower: certificate of an intersection",
     "verify_certificate": "chartower: replay of a characteristic certificate",
     # vaut: germs of ambient automorphisms.
-    "vaut_from_automorphism": "vaut: restriction of a verified ambient automorphism",
+    "vaut_from_automorphism": "vaut: restriction of an ambient automorphism",
     # genus_one: the torus model in closed form.
     "compose_mobius": "genus_one: composition of Mobius maps",
     "vaut_as_matrix": "genus_one: a lattice identification as a Mobius map",
@@ -38,6 +41,28 @@ ENTRY_POINTS = {
     # io: the document formats read back outside the CLI.
     "content_hash": "io: the hash that names a workspace file",
     "cycle_from_doc": "io: reads the cycle/1 document that vaut reduce writes",
+}
+
+# Builders that check nothing, and every function that may use one.
+UNCHECKED_CALLERS = {
+    "_trusted": {
+        "enumerate._each_subgroup": "the low-index search emits complete tables "
+        "in canonical order after tracing every relator cycle",
+        "cosets.intersect": "the orbit of (0, 0) in the product of two "
+        "validated actions satisfies every relator",
+        "cosets._flatten_cover_subgroup": "each base relator rewrites to a "
+        "relator that the validated relative table satisfies",
+    },
+    "_composed": {
+        "vaut.compose": "the composite of two certified germs, with composed "
+        "images and witnesses",
+    },
+    "_flatten_cover_subgroup": {
+        "chartower.char_core_within": "the core is a table over "
+        "restrict_to_cover's Reidemeister-Schreier presentation",
+        "vaut.preimage_subgroup": "the relative table goes through the full "
+        "constructor over reidemeister_schreier(domain)",
+    },
 }
 
 
@@ -85,3 +110,37 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert not unlisted, f"public names that nothing in src/ uses: {unlisted}"
     stale = sorted(set(ENTRY_POINTS) - unreferenced)
     assert not stale, f"listed names that are gone or now have a caller: {stale}"
+
+
+def _scopes(modules):
+    """Each top-level function and method, named ``module.function`` or
+    ``module.Class.method``, with nested functions inside their enclosing
+    one; any other statement is named by its module or class."""
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                yield f"{module}.{stmt.name}", stmt
+            elif isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{module}.{stmt.name}.{item.name}", item
+                    else:
+                        yield f"{module}.{stmt.name}", item
+            else:
+                yield module, stmt
+
+
+def test_only_the_listed_callers_use_the_unchecked_builders():
+    users = {name: set() for name in UNCHECKED_CALLERS}
+    for scope, stmt in _scopes(_modules()):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in users:
+                users[name].add(scope)
+    assert users == {name: set(callers) for name, callers in UNCHECKED_CALLERS.items()}
+    assert not hasattr(covertower, "flatten_cover_subgroup")

@@ -35,7 +35,7 @@ from covertower import (
     words_equal,
 )
 from covertower import cosets, vaut
-from covertower.cosets import flatten_cover_subgroup
+from covertower.cosets import _flatten_cover_subgroup
 from covertower.vaut import _exponent_row_mod2
 
 
@@ -167,7 +167,7 @@ def _preimage_by_full_permutations(v, s):
                 order.append(p[c])
     table = tuple(tuple(label[p[c]] for p in perms) for c in order)
     rel = Subgroup(reidemeister_schreier(v.domain), bfs_canonical(table, 0))
-    return flatten_cover_subgroup(v.domain, rel)
+    return _flatten_cover_subgroup(v.domain, rel)
 
 
 def test_preimage_matches_full_permutation_oracle(pres, index_two_subgroups):
