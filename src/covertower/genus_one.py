@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Sequence, Union
+from math import gcd, inf
+from typing import Iterator, Sequence, Union
 
 from .errors import NotAnIsomorphism, SingularMatrix
 
@@ -227,7 +227,10 @@ class UpperHalfPoint:
             value = getattr(self, field)
             if isinstance(value, int):
                 object.__setattr__(self, field, Fraction(value))
-            elif not isinstance(value, (Fraction, float)):
+            elif isinstance(value, float):
+                if not -inf < value < inf:
+                    raise ValueError("coordinates must be finite")
+            elif not isinstance(value, Fraction):
                 raise ValueError("coordinates must be rational or float")
         if not self.imag > 0:
             raise ValueError("imaginary part must be positive")
@@ -279,6 +282,9 @@ def act(m: RationalMobius, tau: UpperHalfPoint) -> UpperHalfPoint:
     if not w.imag > 0:
         # Float underflow can put an image on the real axis.
         raise ValueError("imaginary part must be positive")
+    if not (w.imag < inf and -inf < w.real < inf):
+        # Float overflow can put an image at infinity.
+        raise ValueError("coordinates must be finite")
     return _point(w.real, w.imag)
 
 
@@ -286,6 +292,42 @@ def _distance_squared(p: UpperHalfPoint, q: UpperHalfPoint) -> Scalar:
     if p.exact and q.exact:
         return (p.real - q.real) ** 2 + (p.imag - q.imag) ** 2
     return abs(p.as_complex() - q.as_complex()) ** 2
+
+
+def _approximants(x: Scalar) -> Iterator[tuple[int, int, bool]]:
+    """``Fraction(x).limit_denominator(16**k)`` for k = 1, 2, ..., in turn.
+
+    Yields (numerator, denominator, exact) in lowest terms, with ``exact``
+    true once the bound reaches x's own denominator.  The continued
+    fraction of x is expanded once, by the Euclidean algorithm on
+    ``x.as_integer_ratio()``; each bound resumes the expansion where the
+    last one stopped and picks the last convergent p1/q1 under the bound
+    or the best semiconvergent beside it (Khinchin, *Continued Fractions*,
+    ch. II).  The two lie on opposite sides of x, 1/(q1*(q0+k*q1)) apart,
+    and p1/q1 lies d/(q1*den) from x, with d the expansion's current
+    remainder, so ``2*d*(q0+k*q1) <= den`` picks the convergent, ties
+    included, as ``limit_denominator`` does.
+    """
+    num, den = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    bound = 16
+    while den > bound:
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        if 2 * d * (q0 + k * q1) <= den:
+            yield p1, q1, False
+        else:
+            yield p0 + k * p1, q0 + k * q1, False
+        bound *= 16
+    while True:
+        yield num, den, True
 
 
 def dense_orbit_approx(
@@ -296,39 +338,50 @@ def dense_orbit_approx(
     """A rational Mobius map carrying source within eps of target.
 
     Constructed, never searched: an exact affine map normalizes the source
-    to i, and an affine map with rationally approximated coefficients
-    carries i to the target, with denominators grown until the verified
-    error beats eps.  Exact rational targets are eventually hit exactly.
+    to i, and the affine map tau -> py*tau + px carries i to px + i*py,
+    where px and py are the best rational approximations of the target
+    coordinates with denominators up to 16, 256, 4096, ..., grown until
+    the verified error beats eps.
+
+    Each target coordinate is expanded into its continued fraction once
+    (``_approximants``), so a new bound costs a few integer steps, and the
+    approximations are exactly those of ``Fraction.limit_denominator``.
+    The squared error is compared with eps squared in integers, through
+    ``as_integer_ratio``, which decides the same exact float-vs-rational
+    question as ``err_sq < Fraction(eps) ** 2``.  Exact rational targets
+    are eventually hit exactly; a float target whose exact coordinates
+    still miss eps raises ``ValueError``.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if eps == inf:
+        raise ValueError("eps must be finite")
     if (source.real, source.imag) == (target.real, target.imag):
         return identity_mobius()
     p0, q0 = source.real.as_integer_ratio()
     r0, s0 = source.imag.as_integer_ratio()
     # to_i = [[1, -x0], [0, y0]] cleared to integers sends the source to i.
     t11, t12, t22 = q0 * s0, -p0 * s0, r0 * q0
-    x1, y1 = Fraction(target.real), Fraction(target.imag)
-    eps_sq = Fraction(eps) ** 2
-    bound = 16
-    while True:
-        px = x1.limit_denominator(bound)
-        py = y1.limit_denominator(bound)
-        if py > 0:
-            # [[py, px], [0, 1]] times to_i, over the denominators of py, px.
-            n1, d1 = py.numerator, py.denominator
-            n2, d2 = px.numerator, px.denominator
+    eps_n, eps_d = eps.as_integer_ratio()
+    eps_n2, eps_d2 = eps_n * eps_n, eps_d * eps_d
+    for (n2, d2, x_exact), (n1, d1, y_exact) in zip(
+        _approximants(target.real), _approximants(target.imag)
+    ):
+        if n1 > 0:
+            # [[n1/d1, n2/d2], [0, 1]] times to_i, over d1*d2.
             candidate = _mobius(
                 n1 * d2 * t11, n1 * d2 * t12 + n2 * d1 * t22, 0, d1 * d2 * t22
             )
             image = act(candidate, source)
             err_sq = _distance_squared(image, target)
-            if err_sq < eps_sq:
-                return candidate
-            if px == x1 and py == y1:
+            # An infinite or nan float error is never below eps.
+            if err_sq < inf:
+                n, d = err_sq.as_integer_ratio()
+                if n * eps_d2 < eps_n2 * d:
+                    return candidate
+            if x_exact and y_exact:
                 # Exact coordinates were reached, so only float roundoff
                 # remains; exact targets return above with error zero.
                 raise ValueError(
                     "requested eps is below floating-point resolution"
                 )
-        bound *= 16

@@ -254,7 +254,8 @@ def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
     Only the basepoint's orbit is walked, tracing each image word once
     from each coset reached (a Schreier-vector orbit computation); the
     orbit is finite, so closure under the images gives closure under
-    their inverses.
+    their inverses.  When every image fixes the basepoint, the preimage
+    is the whole domain, and the domain itself is returned.
     """
     dom = v.domain
     if s.pres != dom.pres:
@@ -271,6 +272,8 @@ def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
                 order.append(d)
             row.append(label[d])
         table.append(tuple(row))
+    if len(order) == 1:
+        return dom
     # The full constructor checks ``table`` over the domain's
     # Reidemeister-Schreier presentation, as flattening requires.
     rel = Subgroup(reidemeister_schreier(dom), tuple(table))

@@ -23,6 +23,7 @@ from covertower import (
     mobius_from_rational_matrix,
     vaut_as_matrix,
 )
+from covertower.genus_one import _approximants
 
 
 def _in_row_lattice(vec, rows):
@@ -263,6 +264,9 @@ def test_point_validation():
         UpperHalfPoint(1.0, -2.0)
     with pytest.raises(ValueError):
         UpperHalfPoint("a", 1)
+    for real, imag in ((math.nan, 1.0), (-math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            UpperHalfPoint(real, imag)
 
 
 def test_dense_orbit_hits_exact_targets():
@@ -294,6 +298,10 @@ def test_dense_orbit_validates_eps():
         dense_orbit_approx(i_point(), target, 0)
     with pytest.raises(ValueError):
         dense_orbit_approx(i_point(), target, -1)
+    with pytest.raises(ValueError, match="positive"):
+        dense_orbit_approx(i_point(), target, math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        dense_orbit_approx(i_point(), target, math.inf)
 
 
 def _act_oracle(entries, x, y):
@@ -399,6 +407,12 @@ def test_float_act_rejects_an_image_that_underflows_to_the_real_axis():
         act(m, UpperHalfPoint(0.0, 1.0))
 
 
+def test_float_act_rejects_an_image_that_overflows_to_infinity():
+    m = mobius_from_integer_matrix([[10**308, 0], [0, 1]])
+    with pytest.raises(ValueError, match="finite"):
+        act(m, UpperHalfPoint(1.0, 1e10))
+
+
 def _fractions_built(monkeypatch, fn):
     built = 0
     new = Fraction.__new__
@@ -422,14 +436,118 @@ def test_exact_act_builds_one_fraction_per_coordinate(monkeypatch):
 
 
 def test_dense_orbit_fraction_count(monkeypatch):
-    # The Fraction-arithmetic construction built 140; what is left is
-    # limit_denominator, eps and the float error comparisons.  From 3.12
-    # on, Fraction arithmetic builds its results without __new__.
+    # The Fraction-arithmetic construction built 140 and the
+    # limit_denominator one 52.  What is left is i_point's two coordinates,
+    # the float target's real part in the source == target test, and the
+    # two coordinates of the exact image in each of three rounds.  From
+    # 3.12 on, Fraction arithmetic builds its results without __new__.
     target = UpperHalfPoint(math.sqrt(2), math.pi)
     built = _fractions_built(
         monkeypatch, lambda: dense_orbit_approx(i_point(), target, 1e-6)
     )
     if sys.version_info < (3, 12):
-        assert built == 52
+        assert built == 9
     else:
-        assert built <= 52
+        assert built <= 9
+
+
+def _assert_walk_matches_limit_denominator(x):
+    # Oracle: CPython's Fraction.limit_denominator at each bound in turn.
+    exact = Fraction(x)
+    walk = _approximants(x)
+    bound = 16
+    while True:
+        num, den, reached = next(walk)
+        best = exact.limit_denominator(bound)
+        assert (num, den) == (best.numerator, best.denominator), (x, bound)
+        assert reached == (best == exact), (x, bound)
+        if reached:
+            assert next(walk) == (num, den, True)
+            return
+        bound *= 16
+
+
+def test_approximants_match_limit_denominator():
+    rng = random.Random(1013)
+    floats = [rng.uniform(-3, 3) for _ in range(2000)]
+    floats += [rng.uniform(0.1, 5.0) for _ in range(2000)]
+    floats += [rng.uniform(-1e6, 1e6) for _ in range(200)]
+    floats += [rng.uniform(0, 1e-6) for _ in range(200)]
+    exact = [
+        Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+        for _ in range(1000)
+    ]
+    # Exactly half way between neighbours of denominator 2*16^k, where
+    # limit_denominator's tie rule decides between two candidates.
+    ties = [
+        Fraction(2 * m + 1, 2 * 16**k)
+        for k in range(1, 5)
+        for m in (0, 1, 7, 15, 16**k - 1, 16**k, rng.randrange(16**k))
+    ]
+    ties += [-t for t in ties] + [t + 5 for t in ties]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e300, 2.0**-1074 * 3, 0.5, 1 / 3]
+    for x in floats + exact + ties + edges:
+        _assert_walk_matches_limit_denominator(x)
+
+
+def _limit_denominator_orbit(source, target, eps):
+    """Reference: approximants from Fraction.limit_denominator and the error
+    compared with eps as Fractions."""
+    x0, y0 = Fraction(source.real), Fraction(source.imag)
+    x1, y1 = Fraction(target.real), Fraction(target.imag)
+    bound = 16
+    while True:
+        px, py = x1.limit_denominator(bound), y1.limit_denominator(bound)
+        if py > 0:
+            # tau -> py * (tau - x0) / y0 + px
+            m = mobius_from_rational_matrix(((py, px * y0 - py * x0), (0, y0)))
+            image = act(m, source)
+            if image.exact and target.exact:
+                err_sq = (image.real - x1) ** 2 + (image.imag - y1) ** 2
+            else:
+                err_sq = abs(image.as_complex() - target.as_complex()) ** 2
+            if err_sq < Fraction(eps) ** 2:
+                return m
+            if px == x1 and py == y1:
+                raise ValueError("requested eps is below floating-point resolution")
+        bound *= 16
+
+
+def _orbit_or_error(source, target, eps, fn):
+    try:
+        return fn(source, target, eps)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_dense_orbit_matches_the_reference_at_eps_on_the_error():
+    # eps is put on the float error of an approximant and on its float
+    # neighbours, where an inexact comparison with eps would pick another
+    # round than the exact one.
+    cases = 0
+    for source, target in _orbit_cases()[::7]:
+        m = dense_orbit_approx(source, target, 1e-3)
+        image = act(m, source)
+        if image.exact and target.exact:
+            continue
+        err = abs(image.as_complex() - target.as_complex())
+        for eps in (err, math.nextafter(err, 0), math.nextafter(err, 1)):
+            if eps > 0:
+                cases += 1
+                assert _orbit_or_error(
+                    source, target, eps, dense_orbit_approx
+                ) == _orbit_or_error(source, target, eps, _limit_denominator_orbit)
+    assert cases > 200
+
+
+def test_dense_orbit_needs_an_error_strictly_below_eps():
+    # At bound 16, 1/17 is approximated by 1/16, exactly 1/272 away; an eps
+    # of exactly 1/272 is not met there, and the next bound hits 1/17.
+    target = UpperHalfPoint(Fraction(1, 17), Fraction(1))
+    assert dense_orbit_approx(i_point(), target, Fraction(1, 271)).entries == (
+        (16, 1),
+        (0, 16),
+    )
+    exact = dense_orbit_approx(i_point(), target, Fraction(1, 272))
+    assert act(exact, i_point()) == target
+

@@ -142,6 +142,15 @@ def test_preimage_respects_membership(pres, h1, h2):
         assert contains(target, apply_vaut(v, g))
 
 
+def test_preimage_of_a_characteristic_cover_is_the_domain(pres, mod4_cover):
+    # The handle swap maps the characteristic mod-4 cover onto itself, so
+    # every image fixes the basepoint and no relative table is built.
+    v = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    for target in (v.codomain, mod4_cover):
+        assert preimage_subgroup(v, target) is v.domain
+    assert v.domain == _preimage_by_full_permutations(v, mod4_cover)
+
+
 def _preimage_by_full_permutations(v, s):
     """Reference preimage: every image permutes every coset of s, and the
     basepoint's orbit is found under the images and their inverses.  The
