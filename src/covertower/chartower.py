@@ -33,7 +33,7 @@ from .cosets import (
     is_subgroup_of,
     restrict_to_cover,
     schreier_generators,
-    _flatten_cover_subgroup,
+    _flatten_rows,
     _orbit_rows,
 )
 from .enumerate import _each_subgroup, low_index_subgroups
@@ -319,9 +319,11 @@ def char_core_within(
     core = _kernel_core(rel.pres, rel.index, config or DEFAULT_CONFIG)
     assert is_subgroup_of(core, rel)
     assert is_normal(core)
-    # ``core`` is a table over ``rel.pres``, the cover's Reidemeister-Schreier
-    # presentation, as flattening requires.
-    absolute = _flatten_cover_subgroup(arrow.super, core)
+    # ``core`` is a validated table over ``rel.pres``, the cover's
+    # Reidemeister-Schreier presentation, so its flattening is relator-closed.
+    absolute = Subgroup._trusted(
+        inner.pres, _flatten_rows(arrow.super, core.act_letter)
+    )
     assert is_subgroup_of(absolute, arrow.sub)
     cert = CharCertificate("hom-kernel-intersection", level=rel.index)
     return RelativeCharSubgroup(arrow.super, core, absolute, cert)

@@ -18,27 +18,28 @@ permutation per generator.  Only three functions call the unchecked
 ``Subgroup._trusted``, each on rows that are canonical, transitive and
 relator-closed by construction: ``enumerate._each_subgroup`` (the
 low-index search), ``intersect`` (the orbit of two validated product
-actions) and the private ``_flatten_cover_subgroup`` (the orbit over a
-relative table that its callers build over the cover's
-Reidemeister-Schreier presentation).
+actions) and ``chartower.char_core_within`` (the rows that
+``_flatten_rows`` walks over a validated core).
 
 Every orbit walk that builds or checks a table (the constructor itself,
-intersection, tables from permutations, flattening a relative table, and
-the kernel and homology tables of ``chartower``) goes through one
-primitive, ``_orbit_rows``: it labels the orbit of a start state in that
-same BFS order, so the rows it returns are canonical by construction.  A
-conjugate is the constructor at a moved basepoint, not a walk of its own.
-Containment and normality are one coset-map walk, ``_coset_map``: H <= K
-iff H's cosets map equivariantly to K's with 0 going to 0, and H is normal
-iff its cosets map to themselves with 0 going to each neighbour of 0.
-Each subgroup builds its own Schreier system once, as ``sub.schreier``,
-whose ``edge_ids`` label the coset graph's edges, so Reidemeister rewriting
-never hashes or compares a table.
+intersection, tables from permutations, flattening an action over a
+cover, and the kernel and homology tables of ``chartower``) goes through
+one primitive, ``_orbit_rows``: it labels the orbit of a start state in
+that same BFS order, so the rows it returns are canonical by
+construction.  Flattening, ``_flatten_rows``, walks (cover coset, state)
+pairs, so a relative core and the preimage of a germ are each one walk.
+A conjugate is the constructor at a moved basepoint, not a walk of its
+own.  Containment, normality and deck transformations are one coset-map
+walk, ``_coset_map``: H <= K iff H's cosets map equivariantly to K's with
+0 going to 0, H is normal iff its cosets map to themselves with 0 going to
+each neighbour of 0, and the maps taking 0 to each coset are then its
+deck group.  Each subgroup builds its own Schreier system once, as
+``sub.schreier``, whose ``edge_ids`` label the coset graph's edges, so
+Reidemeister rewriting never hashes or compares a table.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from math import lcm
@@ -439,20 +440,17 @@ def restrict_to_cover(arrow: CoveringArrow) -> Subgroup:
     return Subgroup(reidemeister_schreier(arrow.super), table)
 
 
-def _flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
-    """Subgroup of the base group described by a relative table over a cover.
+def _flatten_rows(
+    outer: Subgroup, act: Callable[[int, int], int]
+) -> tuple[tuple[int, ...], ...]:
+    """Canonical rows of the orbit of (0, 0) over (outer coset, state) pairs.
 
-    ``relative`` must be a coset table over the Reidemeister-Schreier
-    presentation of ``outer``; the result is the corresponding subgroup of
-    the ambient group, of index index(outer) * index(relative).  That
-    precondition is what makes the flattened table relator-closed, so it
-    is built by the trusted builder, and it is why the function is
-    private: its two callers, ``chartower.char_core_within`` and
-    ``vaut.preimage_subgroup``, build ``relative`` over that presentation.
+    ``act(e, g)`` moves a state along the signed Schreier generator ``g``
+    of ``outer``.  The rows satisfy the base relators when ``act``
+    satisfies those of ``reidemeister_schreier(outer)``, to which each base
+    relator rewrites, as it does for a validated table over it.
     """
     system = outer.schreier
-    if relative.pres.generator_count != len(system.generators):
-        raise ValueError("relative table does not match the cover's generators")
     table, inverse_table, edge_ids = system.table, system.inverse_table, system.edge_ids
 
     def step(state: tuple[int, int], letter: int) -> tuple[int, int]:
@@ -464,12 +462,10 @@ def _flatten_cover_subgroup(outer: Subgroup, relative: Subgroup) -> Subgroup:
             d = inverse_table[d][-letter - 1]
             gen = -edge_ids[d][-letter - 1]
         if gen:
-            e = relative.act_letter(e, gen)
+            e = act(e, gen)
         return d, e
 
-    # Each relator of the base rewrites to a relator of the cover's
-    # presentation, which the validated relative table satisfies.
-    return Subgroup._trusted(outer.pres, _orbit_rows(outer.pres.generator_count, (0, 0), step))
+    return _orbit_rows(outer.pres.generator_count, (0, 0), step)
 
 
 def twisted_subgroup(sub: Subgroup, generator_words: Sequence[Word]) -> Subgroup:
@@ -500,49 +496,24 @@ class DeckGroup:
     exponent: int
 
 
-def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply p, then q (matching left-to-right word tracing)."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
-def _perm_order(p: tuple[int, ...]) -> int:
-    n = len(p)
-    seen = [False] * n
-    out = 1
-    for i in range(n):
-        if not seen[i]:
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                ln += 1
-            out = lcm(out, ln)
-    return out
+def _deck_order(f: Sequence[int]) -> int:
+    """Order of a deck transformation: the length of its cycle through 0,
+    since a deck transformation that fixes a coset is the identity."""
+    order, c = 1, f[0]
+    while c != 0:
+        c = f[c]
+        order += 1
+    return order
 
 
 def deck_group(sub: Subgroup) -> DeckGroup:
-    """Quotient action of a normal subgroup; order equals the index."""
+    """Quotient action of a normal subgroup; order equals the index.  Its
+    elements are the coset maps from 0, so it is abelian iff every
+    generator's column is one of them."""
     if not is_normal(sub):
         raise NotNormal("deck group computed only for normal subgroups")
     n = sub.index
-    k = sub.pres.generator_count
-    gens = tuple(tuple(sub.table[c][j] for c in range(n)) for j in range(k))
-    identity = tuple(range(n))
-    elements = {identity}
-    queue = deque([identity])
-    while queue:
-        p = queue.popleft()
-        for g in gens:
-            q = _perm_mul(p, g)
-            if q not in elements:
-                elements.add(q)
-                queue.append(q)
-    abelian = all(
-        _perm_mul(a, b) == _perm_mul(b, a) for a in gens for b in gens
-    )
-    exponent = 1
-    for p in elements:
-        exponent = lcm(exponent, _perm_order(p))
-    assert len(elements) == n
-    return DeckGroup(len(elements), gens, abelian, exponent)
+    gens = tuple(zip(*sub.table))
+    abelian = all(tuple(_coset_map(sub, sub, g[0])) == g for g in gens)
+    exponent = lcm(*(_deck_order(_coset_map(sub, sub, c)) for c in range(n)))
+    return DeckGroup(n, gens, abelian, exponent)

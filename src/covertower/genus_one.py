@@ -356,10 +356,13 @@ def dense_orbit_approx(
         raise ValueError("eps must be positive")
     if eps == inf:
         raise ValueError("eps must be finite")
-    if (source.real, source.imag) == (target.real, target.imag):
-        return identity_mobius()
     p0, q0 = source.real.as_integer_ratio()
     r0, s0 = source.imag.as_integer_ratio()
+    # Ratios in lowest terms: equal points, and no Fraction from a float.
+    if (p0, q0, r0, s0) == (
+        *target.real.as_integer_ratio(), *target.imag.as_integer_ratio()
+    ):
+        return identity_mobius()
     # to_i = [[1, -x0], [0, y0]] cleared to integers sends the source to i.
     t11, t12, t22 = q0 * s0, -p0 * s0, r0 * q0
     eps_n, eps_d = eps.as_integer_ratio()

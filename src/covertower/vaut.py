@@ -16,7 +16,9 @@ dimension at least h+1, the free case is excluded, finite index forces
 M = K by comparing first Betti numbers, and Hopficity upgrades the map to
 an isomorphism.
 
-``validate_vaut`` runs where a germ enters: ``vaut_from_automorphism``,
+``validate_vaut`` rewrites each image and each inverse witness once: that
+rewriting decides membership and feeds both the span and the round trip.
+It runs where a germ enters: ``vaut_from_automorphism``,
 ``from_two_arrow``, the witness-free branch of ``inverse`` (its witnesses
 come from a search) and documents loaded by the CLI.  It does not run after
 ``compose``: the composite of two certified germs is an isomorphism
@@ -34,16 +36,16 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import (
     CoveringArrow,
     Subgroup,
-    contains,
     factor_through,
     full_subgroup,
     intersect,
     is_subgroup_of,
     reidemeister_schreier,
+    rewrite_from,
     rewrite_in_schreier_generators,
     schreier_generators,
     twisted_subgroup,
-    _flatten_cover_subgroup,
+    _flatten_rows,
 )
 from .chartower import Automorphism, apply_automorphism
 from .errors import BudgetExceeded, IdentificationInvalid, IndexOverflow, NotInvertible
@@ -55,6 +57,7 @@ from .words import (
     free_reduce,
     inverse_word,
     substitute,
+    validate_word,
     words_equal,
 )
 
@@ -79,27 +82,34 @@ class VirtualAutomorphism:
 # Mod-2 homology of a cover, used for the generation certificate.
 
 
-def generation_certified(target: Subgroup, images: Sequence[Word]) -> bool:
-    """True iff the images provably generate ``target``.
+def _rewritten_members(sub: Subgroup, words: Sequence[Word]) -> Optional[list[Word]]:
+    """Each word rewritten in ``sub``'s Schreier generators, or None as soon
+    as one leaves ``sub``; a letter out of range raises ValueError."""
+    system = sub.schreier
+    out = []
+    for w in words:
+        rewritten, end = rewrite_from(system, 0, validate_word(sub.pres, w))
+        if end != 0:
+            return None
+        out.append(rewritten)
+    return out
 
-    Every image must already be a member.  The certificate is the span
-    condition described in the module docstring; it passes for any
-    generating set and never passes for a non-generating image of an
-    equal-genus surface group.
+
+def _generation_certified(target: Subgroup, rewritten: Sequence[Word]) -> bool:
+    """True iff members of ``target``, given rewritten in its Schreier
+    generators, provably generate it.
+
+    The certificate is the span condition described in the module
+    docstring; it passes for any generating set and never passes for a
+    non-generating image of an equal-genus surface group.
     """
-    for w in images:
-        if not contains(target, w):
-            return False
     pres = reidemeister_schreier(target)
     rel_rows = [_exponent_row_mod2(r) for r in pres.relators]
     rel_rank = len(_f2_echelon(rel_rows))
     h1_dim = pres.generator_count - rel_rank
     assert h1_dim % 2 == 0, "covers of surfaces have even first Betti number"
     genus = h1_dim // 2
-    img_rows = [
-        _exponent_row_mod2(rewrite_in_schreier_generators(target, w))
-        for w in images
-    ]
+    img_rows = [_exponent_row_mod2(w) for w in rewritten]
     span = len(_f2_echelon(rel_rows + img_rows)) - rel_rank
     return span >= genus + 1
 
@@ -133,33 +143,29 @@ def validate_vaut(v: VirtualAutomorphism) -> None:
     gens = schreier_generators(dom)
     if len(v.images) != len(gens):
         raise IdentificationInvalid("one image per domain Schreier generator required")
-    for w in v.images:
-        if not contains(cod, w):
-            raise IdentificationInvalid("an image leaves the codomain")
+    images = _rewritten_members(cod, v.images)
+    if images is None:
+        raise IdentificationInvalid("an image leaves the codomain")
     rs = reidemeister_schreier(dom)
     for r in rs.relators:
         if not words_equal(base, substitute(v.images, r), ()):
             raise IdentificationInvalid("images violate a rewritten relator")
-    if not generation_certified(cod, v.images):
+    if not _generation_certified(cod, images):
         raise IdentificationInvalid("images are not certified to generate the codomain")
     if v.inverse_images is not None:
         cogens = schreier_generators(cod)
         if len(v.inverse_images) != len(cogens):
             raise IdentificationInvalid("one witness per codomain Schreier generator")
-        for w in v.inverse_images:
-            if not contains(dom, w):
-                raise IdentificationInvalid("an inverse witness leaves the domain")
-        for s in gens:
-            back = substitute(
-                v.inverse_images, rewrite_in_schreier_generators(cod, substitute(v.images, rewrite_in_schreier_generators(dom, s)))
-            )
-            if not words_equal(base, back, s):
+        witnesses = _rewritten_members(dom, v.inverse_images)
+        if witnesses is None:
+            raise IdentificationInvalid("an inverse witness leaves the domain")
+        # The i-th Schreier generator rewrites to the letter i+1, so v sends
+        # gens[i] to v.images[i], whose rewriting in cod is images[i].
+        for s, w in zip(gens, images):
+            if not words_equal(base, substitute(v.inverse_images, w), s):
                 raise IdentificationInvalid("inverse witnesses do not undo the map")
-        for t in cogens:
-            forth = substitute(
-                v.images, rewrite_in_schreier_generators(dom, substitute(v.inverse_images, rewrite_in_schreier_generators(cod, t)))
-            )
-            if not words_equal(base, forth, t):
+        for t, w in zip(cogens, witnesses):
+            if not words_equal(base, substitute(v.images, w), t):
                 raise IdentificationInvalid("the map does not undo its inverse witnesses")
 
 
@@ -250,34 +256,25 @@ def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
     """{h in domain : v(h) in s}, as a subgroup of the ambient group.
 
     The domain's Schreier generators act on the cosets of ``s`` through
-    their images, and the preimage is the stabilizer of the basepoint.
-    Only the basepoint's orbit is walked, tracing each image word once
-    from each coset reached (a Schreier-vector orbit computation); the
-    orbit is finite, so closure under the images gives closure under
-    their inverses.  When every image fixes the basepoint, the preimage
-    is the whole domain, and the domain itself is returned.
+    their images, and the preimage is the stabilizer of (domain coset 0,
+    coset 0 of ``s``) in one flattening walk over the domain's cosets.
+    When every image fixes the basepoint, the preimage is the whole
+    domain, and the domain itself is returned.
     """
     dom = v.domain
     if s.pres != dom.pres:
         raise ValueError("target subgroup over a different presentation")
-    label = {0: 0}
-    order = [0]
-    table = []
-    for c in order:  # grows while it is walked
-        row = []
-        for img in v.images:
-            d = s.act_word(c, img)
-            if d not in label:
-                label[d] = len(order)
-                order.append(d)
-            row.append(label[d])
-        table.append(tuple(row))
-    if len(order) == 1:
+    if len(v.images) != len(schreier_generators(dom)):
+        raise ValueError("one image per domain Schreier generator required")
+    if all(s.act_word(0, w) == 0 for w in v.images):
         return dom
-    # The full constructor checks ``table`` over the domain's
-    # Reidemeister-Schreier presentation, as flattening requires.
-    rel = Subgroup(reidemeister_schreier(dom), tuple(table))
-    return _flatten_cover_subgroup(dom, rel)
+    inverses = [inverse_word(w) for w in v.images]
+
+    def act(c: int, g: int) -> int:
+        return s.act_word(c, v.images[g - 1] if g > 0 else inverses[-g - 1])
+
+    # A caller's germ need not be a homomorphism: check the flattened rows.
+    return Subgroup(dom.pres, _flatten_rows(dom, act))
 
 
 def inverse(
@@ -319,10 +316,7 @@ def inverse(
                 val = free_reduce(value + img)
                 for t_i, t in enumerate(targets):
                     if solved[t_i] is None and words_equal(pres, val, t):
-                        witness = substitute(
-                            [dom_gens[i] for i in range(m)], word
-                        )
-                        solved[t_i] = witness
+                        solved[t_i] = substitute(dom_gens, word)
                 new_frontier.append((word, val))
         frontier = new_frontier
         if all(s is not None for s in solved):
@@ -361,7 +355,8 @@ def compose(
     """Apply v first, then w, on the largest domain where that makes sense."""
     cfg = config or DEFAULT_CONFIG
     held = (v.domain, v.codomain, w.domain, w.codomain)
-    overlap = _held(intersect(v.codomain, w.domain), held)
+    # The preimages have the overlap's index, so the cap bounds them too.
+    overlap = _held(intersect(v.codomain, w.domain, cfg.max_result_index), held)
     new_domain = _held(preimage_subgroup(v, overlap), held)
     images = tuple(
         apply_vaut(w, apply_vaut(v, s)) for s in schreier_generators(new_domain)
@@ -475,11 +470,10 @@ def is_mcl_witness(v: VirtualAutomorphism, candidate: Subgroup) -> bool:
         return False
     if not is_subgroup_of(candidate, v.domain):
         return False
-    images = [apply_vaut(v, s) for s in schreier_generators(candidate)]
-    for w in images:
-        if not contains(candidate, w):
-            return False
-    return generation_certified(candidate, images)
+    images = _rewritten_members(
+        candidate, [apply_vaut(v, s) for s in schreier_generators(candidate)]
+    )
+    return images is not None and _generation_certified(candidate, images)
 
 
 def bounded_mcl_search(
@@ -501,8 +495,8 @@ def bounded_mcl_search(
         if v_inv is None:
             return None
         try:
-            clipped = intersect(candidate, v.domain, cfg.max_result_index)
-            image = preimage_subgroup(v_inv, clipped)
+            # candidate lies in v.domain, the codomain of v_inv.
+            image = preimage_subgroup(v_inv, candidate)
             candidate = intersect(candidate, image, cfg.max_result_index)
         except IndexOverflow as exc:
             raise BudgetExceeded(str(exc)) from exc

@@ -38,9 +38,9 @@ def full_validation():
     """Route both trusted builders through the full validators.
 
     The library builds the tables of the low-index search, of ``intersect``
-    and of ``cosets._flatten_cover_subgroup`` with ``Subgroup._trusted``
-    and the germs of ``compose`` with ``vaut._composed``, and checks
-    neither.  In the tests
+    and of ``chartower.char_core_within`` (rows from
+    ``cosets._flatten_rows``) with ``Subgroup._trusted`` and the germs of
+    ``compose`` with ``vaut._composed``, and checks neither.  In the tests
     every such table goes through the full ``Subgroup`` constructor and must
     come back unchanged (it was already canonical), and every composed germ
     goes through ``validate_vaut``.  Session scope puts the session fixtures

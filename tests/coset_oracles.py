@@ -8,6 +8,7 @@ the ``Subgroup`` constructor it is meant to check.
 
 from collections import deque
 from itertools import permutations, product
+from math import lcm
 
 
 def alphabet(k):
@@ -101,3 +102,33 @@ def sym_kernel_intersection(k, relators, n):
         tuple(label[act(state, j)] for j in range(1, k + 1)) for state in order
     )
     return bfs_canonical(table, 0)
+
+
+def deck_group_by_bfs(rows):
+    """Order, abelian flag and exponent of the group that the generators'
+    columns of a normal subgroup's table generate, found by breadth-first
+    search over permutation tuples; element orders by repeated products."""
+    n = len(rows)
+    gens = [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
+
+    def mul(p, q):
+        return tuple(q[p[i]] for i in range(n))
+
+    identity = tuple(range(n))
+    elements = {identity}
+    queue = deque([identity])
+    while queue:
+        p = queue.popleft()
+        for g in gens:
+            q = mul(p, g)
+            if q not in elements:
+                elements.add(q)
+                queue.append(q)
+    abelian = all(mul(a, b) == mul(b, a) for a in gens for b in gens)
+    exponent = 1
+    for p in elements:
+        order, q = 1, p
+        while q != identity:
+            order, q = order + 1, mul(q, p)
+        exponent = lcm(exponent, order)
+    return len(elements), abelian, exponent

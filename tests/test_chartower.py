@@ -46,7 +46,7 @@ from covertower import (
 )
 from covertower import chartower, cosets
 from covertower.chartower import check_automorphism
-from covertower.cosets import Subgroup, _flatten_cover_subgroup
+from covertower.cosets import Subgroup, _flatten_rows
 
 
 def _random_word(rng, k, max_len):
@@ -275,7 +275,7 @@ def test_char_core_within_matches_mod_two_linear_algebra(index_two_subgroups):
     )
     oracle = Subgroup(pres, table, position[0])
     assert within.relative == oracle
-    assert within.absolute == _flatten_cover_subgroup(ambient, oracle)
+    assert within.absolute.table == _flatten_rows(ambient, oracle.act_letter)
     assert is_subgroup_of(within.absolute, inner)
     assert within.absolute.index == 128
 

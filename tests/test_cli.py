@@ -9,6 +9,7 @@ from covertower import (
     RunConfig,
     SurfacePresentation,
     build_char_tower,
+    homology_cover,
     identity_vaut,
     make_subgroup,
     store_doc,
@@ -351,6 +352,27 @@ def test_overflow_exit_five(tmp_path, capsys, index_two_subgroups):
     )
     assert code == 5
     assert json.loads(err)["error"] == "IntersectionIndexOverflow"
+
+
+def test_compose_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
+    # The mod-2 and mod-3 homology covers overlap in index 16 * 81 = 1,296.
+    ws = str(tmp_path)
+    germs = []
+    for n in (2, 3):
+        name = store_doc(tmp_path, subgroup_doc(homology_cover(pres2, n).subgroup)).name
+        ident = _run_json(capsys, "--workspace", ws, "vaut", "identity", "--subgroup", name)
+        germs.append(ident["file"])
+    cfg_path = tmp_path / "cap.json"
+    cfg_path.write_text(json.dumps({"max_result_index": 100}))
+    code, out, err = _run(
+        capsys, "--workspace", ws, "--config", str(cfg_path), "vaut", "compose", *germs
+    )
+    assert code == 5
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "IntersectionIndexOverflow",
+        "message": "intersection exceeds index cap 100",
+    }
 
 
 def test_char_core_past_the_index_cap_exits_five(tmp_path, capsys, pres2):

@@ -29,7 +29,7 @@ from covertower import (
     make_subgroup,
     restrict_to_cover,
 )
-from covertower.cosets import _flatten_cover_subgroup
+from covertower.cosets import _flatten_rows
 
 
 def _old_conjugate_table(rows, basepoint, w):
@@ -186,8 +186,8 @@ def test_flattened_tables_are_canonical(pres2, index_two_subgroups, index_le_thr
         for other in rng.sample(index_le_three, 8):
             inner = intersect(outer, other)
             relative = restrict_to_cover(factor_through(inner, outer))
-            flat = _flatten_cover_subgroup(outer, relative)
-            assert flat.table == bfs_canonical(inner.table, 0)
+            flat = _flatten_rows(outer, relative.act_letter)
+            assert flat == bfs_canonical(inner.table, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -2,12 +2,13 @@ import gc
 import hashlib
 import random
 import weakref
+from itertools import permutations
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from coset_oracles import bfs_canonical
+from coset_oracles import bfs_canonical, deck_group_by_bfs
 from covertower import (
     NotNormal,
     NotTransitive,
@@ -43,7 +44,7 @@ from covertower import (
     vaut_from_automorphism,
 )
 from covertower import cosets
-from covertower.cosets import _flatten_cover_subgroup
+from covertower.cosets import _flatten_rows
 
 
 def _random_word(rng, k, max_len):
@@ -356,7 +357,12 @@ def test_restrict_and_flatten_round_trip(index_two_subgroups):
     inner = intersect(outer, index_two_subgroups[3])
     relative = restrict_to_cover(factor_through(inner, outer))
     assert relative.index * outer.index == inner.index
-    assert _flatten_cover_subgroup(outer, relative) == inner
+    assert Subgroup(outer.pres, _flatten_rows(outer, relative.act_letter)) == inner
+
+
+def _flattened(outer, relative):
+    """The trusted flattening that ``char_core_within`` builds."""
+    return Subgroup._trusted(outer.pres, _flatten_rows(outer, relative.act_letter))
 
 
 @pytest.mark.trusted_path
@@ -370,12 +376,12 @@ def test_trusted_intersections_and_flattenings_pass_the_full_constructor(
     swap = vaut_from_automorphism(handle_swap(pres2), mod4_cover)
     for i, a in enumerate(index_two_subgroups):
         results.append(intersect(a, mod4_cover))
-        results.append(_flatten_cover_subgroup(a, restrict_to_cover(factor_through(mod4_cover, a))))
+        results.append(_flattened(a, restrict_to_cover(factor_through(mod4_cover, a))))
         results.append(preimage_subgroup(swap, a))
         for b in index_two_subgroups[i:]:
             inner = intersect(a, b)
             results.append(inner)
-            results.append(_flatten_cover_subgroup(a, restrict_to_cover(factor_through(inner, a))))
+            results.append(_flattened(a, restrict_to_cover(factor_through(inner, a))))
     assert {sub.index for sub in results} == {2, 4, 256}
     for sub in results:
         full = Subgroup(pres2, sub.table)
@@ -455,3 +461,29 @@ def test_deck_group(pres2):
     )
     with pytest.raises(NotNormal):
         deck_group(non_normal)
+
+
+def _sym3_cover(pres2):
+    """Kernel of a1 -> (0 1), a2 -> (0 1 2), b1, b2 -> id onto S3, as the
+    stabilizer of the identity when S3 acts on itself by right products."""
+    elements = list(permutations(range(3)))
+    position = {p: i for i, p in enumerate(elements)}
+
+    def right_product(g):
+        return [position[tuple(g[x[i]] for i in range(3))] for x in elements]
+
+    identity = (0, 1, 2)
+    images = [(1, 0, 2), identity, (1, 2, 0), identity]
+    return make_subgroup(pres2, [right_product(g) for g in images], position[identity])
+
+
+def test_deck_group_matches_the_permutation_group_oracle(pres2):
+    sym3 = _sym3_cover(pres2)
+    assert deck_group_by_bfs(sym3.table) == (6, False, 6)
+    covers = [homology_cover(pres2, n).subgroup for n in (2, 3, 4)]
+    normal = [s for s in low_index_subgroups(pres2, 4) if is_normal(s)]
+    assert len(normal) == 211
+    for sub in [*covers, *normal, sym3]:
+        deck = deck_group(sub)
+        assert (deck.order, deck.abelian, deck.exponent) == deck_group_by_bfs(sub.table)
+        assert deck.generators == tuple(zip(*sub.table))

@@ -50,18 +50,18 @@ UNCHECKED_CALLERS = {
         "in canonical order after tracing every relator cycle",
         "cosets.intersect": "the orbit of (0, 0) in the product of two "
         "validated actions satisfies every relator",
-        "cosets._flatten_cover_subgroup": "each base relator rewrites to a "
-        "relator that the validated relative table satisfies",
+        "chartower.char_core_within": "each base relator rewrites to a "
+        "relator that the validated core satisfies",
     },
     "_composed": {
         "vaut.compose": "the composite of two certified germs, with composed "
         "images and witnesses",
     },
-    "_flatten_cover_subgroup": {
+    "_flatten_rows": {
         "chartower.char_core_within": "the core is a table over "
         "restrict_to_cover's Reidemeister-Schreier presentation",
-        "vaut.preimage_subgroup": "the relative table goes through the full "
-        "constructor over reidemeister_schreier(domain)",
+        "vaut.preimage_subgroup": "the flattened rows go through the full "
+        "constructor",
     },
 }
 

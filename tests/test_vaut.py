@@ -1,10 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
 from coset_oracles import bfs_canonical, inverse_rows, walk
 from covertower import (
+    DEFAULT_CONFIG,
+    GenericPresentation,
     IdentificationInvalid,
+    IntersectionIndexOverflow,
+    RunConfig,
     Subgroup,
     NotInvertible,
     SurfacePresentation,
@@ -35,7 +40,7 @@ from covertower import (
     words_equal,
 )
 from covertower import cosets, vaut
-from covertower.cosets import _flatten_cover_subgroup
+from covertower.cosets import _flatten_rows
 from covertower.vaut import _exponent_row_mod2
 
 
@@ -79,6 +84,138 @@ def test_dropped_generator_fails_generation(h1):
     )
     with pytest.raises(IdentificationInvalid):
         validate_vaut(broken)
+
+
+def _swap_first_two(words):
+    return (words[1], words[0], *words[2:])
+
+
+def _outside(sub):
+    return next((x,) for x in range(1, 5) if not contains(sub, (x,)))
+
+
+def _free_group_germ():
+    free = full_subgroup(GenericPresentation(2, ()))
+    return VirtualAutomorphism(free, free, (), ())
+
+
+# One corruption of an identity germ per check of validate_vaut, in the
+# order the checks run.  The last check, "the map does not undo its inverse
+# witnesses", is not listed: no corruption found passes the check before it.
+CORRUPTIONS = [
+    pytest.param(
+        lambda v, h2: _free_group_germ(),
+        ValueError,
+        "virtual automorphisms live over the base surface group",
+        id="base",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(
+            v, codomain=full_subgroup(SurfacePresentation(3))
+        ),
+        IdentificationInvalid,
+        "domain and codomain over different presentations",
+        id="presentations",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(v, codomain=intersect(v.domain, h2)),
+        IdentificationInvalid,
+        "index mismatch: 2 vs 4",
+        id="index",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(v, images=v.images[:-1]),
+        IdentificationInvalid,
+        "one image per domain Schreier generator required",
+        id="image-count",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(
+            v, images=(v.images[0] + (9,), *v.images[1:])
+        ),
+        ValueError,
+        "letter 9 out of range for 4 generators",
+        id="image-letter",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(
+            v, images=(_outside(v.codomain), *v.images[1:])
+        ),
+        IdentificationInvalid,
+        "an image leaves the codomain",
+        id="image-member",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(v, images=_swap_first_two(v.images)),
+        IdentificationInvalid,
+        "images violate a rewritten relator",
+        id="relator",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(v, images=((),) * len(v.images)),
+        IdentificationInvalid,
+        "images are not certified to generate the codomain",
+        id="generation",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(v, inverse_images=v.inverse_images[:-1]),
+        IdentificationInvalid,
+        "one witness per codomain Schreier generator",
+        id="witness-count",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(
+            v, inverse_images=(v.inverse_images[0] + (7,), *v.inverse_images[1:])
+        ),
+        ValueError,
+        "letter 7 out of range for 4 generators",
+        id="witness-letter",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(
+            v, inverse_images=(_outside(v.domain), *v.inverse_images[1:])
+        ),
+        IdentificationInvalid,
+        "an inverse witness leaves the domain",
+        id="witness-member",
+    ),
+    pytest.param(
+        lambda v, h2: dataclasses.replace(
+            v, inverse_images=_swap_first_two(v.inverse_images)
+        ),
+        IdentificationInvalid,
+        "inverse witnesses do not undo the map",
+        id="back",
+    ),
+]
+
+
+@pytest.mark.parametrize("corrupt, error, message", CORRUPTIONS)
+def test_each_validation_check_names_its_failure(h1, h2, corrupt, error, message):
+    with pytest.raises(error) as excinfo:
+        validate_vaut(corrupt(identity_vaut(h1), h2))
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def test_one_validation_rewrites_each_image_and_witness_once(pres, mod4_cover, monkeypatch):
+    v = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    calls = 0
+    rewrite = cosets.rewrite_from
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rewrite(*args)
+
+    monkeypatch.setattr(cosets, "rewrite_from", counted)
+    monkeypatch.setattr(vaut, "rewrite_from", counted, raising=False)
+    validate_vaut(v)
+    # The one relator from each of the 256 cosets, for the domain's and the
+    # codomain's Reidemeister-Schreier presentations, then each of the 769
+    # images and 769 witnesses once.
+    assert len(v.images) == len(v.inverse_images) == 769
+    assert calls == 2 * 256 + 2 * 769
 
 
 def test_from_two_arrow_identity_fill(pres, h1, h2):
@@ -176,7 +313,7 @@ def _preimage_by_full_permutations(v, s):
                 order.append(p[c])
     table = tuple(tuple(label[p[c]] for p in perms) for c in order)
     rel = Subgroup(reidemeister_schreier(v.domain), bfs_canonical(table, 0))
-    return _flatten_cover_subgroup(v.domain, rel)
+    return Subgroup(v.domain.pres, _flatten_rows(v.domain, rel.act_letter))
 
 
 def test_preimage_matches_full_permutation_oracle(pres, index_two_subgroups):
@@ -216,6 +353,30 @@ def test_preimage_walks_only_the_basepoint_orbit(pres, mod4_cover, monkeypatch):
     assert preimage_subgroup(v, v.codomain) == mod4_cover
     assert mod4_cover.index == 256
     assert calls == len(v.images)
+
+
+def test_preimage_builds_no_reidemeister_schreier_presentation(pres, h1, h2, monkeypatch):
+    v = vaut_from_automorphism(handle_swap(pres), h1)
+    target = intersect(v.codomain, h2)
+    calls = []
+    presentation = cosets.reidemeister_schreier
+
+    def counted(sub):
+        calls.append(sub)
+        return presentation(sub)
+
+    monkeypatch.setattr(cosets, "reidemeister_schreier", counted)
+    monkeypatch.setattr(vaut, "reidemeister_schreier", counted)
+    pre = preimage_subgroup(v, target)
+    assert pre.index > h1.index
+    assert calls == []
+
+
+def test_preimage_needs_one_image_per_domain_generator(h1, h2):
+    v = identity_vaut(h1)
+    short = dataclasses.replace(v, images=v.images[:-1])
+    with pytest.raises(ValueError, match="one image per domain Schreier generator"):
+        preimage_subgroup(short, intersect(h1, h2))
 
 
 def test_exponent_row_mod2_is_parity_count():
@@ -259,6 +420,17 @@ def test_compose_on_the_mod_five_cover_hashes_no_subgroup(pres, monkeypatch):
     out = compose(v, inverse(v))
     assert out.domain.index == 625
     assert calls == {"eq": 0, "hash": 0}
+
+
+def test_compose_refuses_an_overlap_past_the_index_cap(pres, mod4_cover):
+    # The preimages have the overlap's index, so the overlap's cap bounds
+    # the whole composite: 16 * 81 = 1,296 > 100 and 256 * 81 > 10,000.
+    three = identity_vaut(homology_cover(pres, 3).subgroup)
+    two = identity_vaut(homology_cover(pres, 2).subgroup)
+    with pytest.raises(IntersectionIndexOverflow, match="index cap 100$"):
+        compose(two, three, RunConfig(max_result_index=100))
+    with pytest.raises(IntersectionIndexOverflow, match="index cap 10000$"):
+        compose(identity_vaut(mod4_cover), three, DEFAULT_CONFIG)
 
 
 def test_compose_associativity(pres, h1):
