@@ -17,6 +17,7 @@ by quantifying over the full automorphism group:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -55,6 +56,7 @@ from .words import (
     is_identity,
     substitute,
     validate_word,
+    _PieceTable,
     _exponent_row_mod2,
     _f2_echelon,
     _f2_reduce,
@@ -96,9 +98,14 @@ class Automorphism:
                 validate_word(self.pres, w)
         check_automorphism(self)
 
+    @cached_property
+    def _tables(self) -> tuple[_PieceTable, _PieceTable]:
+        """The signed tables of the images and of the inverse images."""
+        return _PieceTable(self.images), _PieceTable(self.inverse_images)
+
 
 def apply_automorphism(phi: Automorphism, w: Iterable[int], inverse: bool = False) -> Word:
-    return substitute(phi.inverse_images if inverse else phi.images, w)
+    return substitute(phi._tables[inverse], w)
 
 
 def check_automorphism(phi: Automorphism) -> None:

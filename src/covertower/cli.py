@@ -384,10 +384,10 @@ def _cmd_vaut_invert(args) -> int:
 
 def _cmd_vaut_germ_eq(args) -> int:
     root = workspace_dir(args.workspace)
-    _config_of(args)  # germ comparison reads no cap, but a bad --config still exits 6
+    cfg = _config_of(args)
     v = _load_vaut(root, args.first)
     w = _load_vaut(root, args.second)
-    _emit({"germEqual": germ_equals(v, w)})
+    _emit({"germEqual": germ_equals(v, w, cfg)})
     return EXIT_OK
 
 

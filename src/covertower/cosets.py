@@ -35,7 +35,10 @@ walk, ``_coset_map``: H <= K iff H's cosets map equivariantly to K's with
 each neighbour of 0, and the maps taking 0 to each coset are then its
 deck group.  Each subgroup builds its own Schreier system once, as
 ``sub.schreier``, whose ``edge_ids`` label the coset graph's edges, so
-Reidemeister rewriting never hashes or compares a table.
+Reidemeister rewriting never hashes or compares a table.  Rewriting
+multiplies the pieces, read from a signed table, of the Schreier generators
+that a walk crosses: the one-letter table rewrites, and a germ's image
+table rewrites and substitutes in the same walk.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ from .words import (
     free_reduce,
     inverse_word,
     validate_word,
+    _PieceTable,
+    _reduced_product,
 )
 
 
@@ -259,14 +264,20 @@ class SchreierSystem:
 
     ``edge_ids[c][j-1]`` is 0 if the edge from coset c along x_j is in the
     transversal tree, else i+1 for the i-th non-tree edge in (c, j) order,
-    whose Schreier generator is ``generators[i]``.  It holds the subgroup's
-    rows but not the subgroup, so no reference cycle keeps either alive.
+    whose Schreier generator is ``generators[i]``, and ``transversal[c]``
+    is the tree's word to coset c.  It holds the subgroup's rows but not
+    the subgroup, so no reference cycle keeps either alive.
     """
 
     table: tuple[tuple[int, ...], ...]
     inverse_table: tuple[tuple[int, ...], ...]
     edge_ids: tuple[tuple[int, ...], ...]
     generators: tuple[Word, ...]
+    transversal: tuple[Word, ...]
+
+    @cached_property
+    def letters(self) -> _PieceTable:  # the piece table of plain rewriting
+        return _PieceTable([(e,) for e in range(1, len(self.generators) + 1)])
 
 
 def _schreier_system(sub: Subgroup) -> SchreierSystem:
@@ -290,7 +301,7 @@ def _schreier_system(sub: Subgroup) -> SchreierSystem:
                 gens.append(free_reduce(transversal[c] + (j + 1,) + inverse_word(transversal[d])))
                 row[j] = len(gens)
     edge_ids = tuple(tuple(row) for row in ids)
-    return SchreierSystem(sub.table, sub.inverse_table, edge_ids, tuple(gens))
+    return SchreierSystem(sub.table, sub.inverse_table, edge_ids, tuple(gens), tuple(transversal))
 
 
 def schreier_generators(sub: Subgroup) -> tuple[Word, ...]:
@@ -298,33 +309,38 @@ def schreier_generators(sub: Subgroup) -> tuple[Word, ...]:
     return sub.schreier.generators
 
 
-def rewrite_from(system: SchreierSystem, start: int, w: Iterable[int]) -> tuple[Word, int]:
-    """Reidemeister rewriting of ``w`` traced from coset ``start``.
-
-    Returns the word over Schreier generator indices (1-based, signed) and
-    the final coset.  When ``w`` lies in the subgroup and ``start`` is the
-    basepoint the result expresses ``w`` in the Schreier generators.
-    """
+def rewrite_from(
+    system: SchreierSystem, start: int, w: Iterable[int], pieces: _PieceTable
+) -> tuple[Word, int]:
+    """Reidemeister rewriting of ``w`` traced from coset ``start``, in one
+    walk: the reduced product of the ``pieces`` of the signed Schreier
+    generators crossed, and the final coset.  Through ``system.letters``
+    the product expresses ``w`` in the Schreier generators."""
     table, inverse_table, edge_ids = system.table, system.inverse_table, system.edge_ids
-    out: list[int] = []
+    out: list[Word] = []
     c = start
     for x in w:
         if x > 0:
             e = edge_ids[c][x - 1]
             if e:
-                out.append(e)
+                out.append(pieces[e])
             c = table[c][x - 1]
         else:
             c = inverse_table[c][-x - 1]
             e = edge_ids[c][-x - 1]
             if e:
-                out.append(-e)
-    return free_reduce(out), c
+                out.append(pieces[-e])
+    return _reduced_product(out), c
 
 
-def rewrite_in_schreier_generators(sub: Subgroup, w: Iterable[int]) -> Word:
+def rewrite_in_schreier_generators(
+    sub: Subgroup, w: Iterable[int], pieces: Optional[_PieceTable] = None
+) -> Word:
+    """``w`` rewritten from the basepoint through ``pieces``, the Schreier
+    generators' own letters by default; ValueError unless ``w`` is in ``sub``."""
     w = validate_word(sub.pres, w)
-    rewritten, end = rewrite_from(sub.schreier, 0, w)
+    system = sub.schreier
+    rewritten, end = rewrite_from(system, 0, w, system.letters if pieces is None else pieces)
     if end != 0:
         raise ValueError("word is not in the subgroup")
     return rewritten
@@ -337,7 +353,7 @@ def reidemeister_schreier(sub: Subgroup) -> GenericPresentation:
     seen: set[Word] = set()
     for r in sub.pres.relators:
         for c in range(sub.index):
-            word, end = rewrite_from(system, c, r)
+            word, end = rewrite_from(system, c, r, system.letters)
             assert end == c
             if word and word not in seen:
                 seen.add(word)

@@ -6,6 +6,10 @@ when they agree on the common restriction of their domains; since both are
 homomorphisms and the ambient surface group has unique roots, agreement on
 the Schreier generators of the intersection already pins the germ.
 
+A germ keeps its images as a signed table, each reduced once, so applying
+it is one ``rewrite_from`` walk that rewrites and substitutes.  On its own
+domain ``compose`` and ``germ_equals`` read the table with no walk.
+
 Verification of "the images generate the codomain" is exact and needs no
 coset enumeration from generator sets: the image subgroup M of a
 homomorphism from a genus-h surface group is either of finite index in the
@@ -30,7 +34,8 @@ second check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import (
@@ -47,14 +52,16 @@ from .cosets import (
     twisted_subgroup,
     _flatten_rows,
 )
-from .chartower import Automorphism, apply_automorphism
+from .chartower import Automorphism
 from .errors import BudgetExceeded, IdentificationInvalid, IndexOverflow, NotInvertible
 from .words import (
     SurfacePresentation,
+    GenericPresentation,
     Word,
     _exponent_row_mod2,
     _f2_echelon,
-    free_reduce,
+    _PieceTable,
+    _reduced_product,
     inverse_word,
     substitute,
     validate_word,
@@ -77,6 +84,14 @@ class VirtualAutomorphism:
     images: tuple[Word, ...]
     inverse_images: Optional[tuple[Word, ...]] = None
 
+    @cached_property
+    def _pieces(self) -> _PieceTable:
+        return _PieceTable(self.images)
+
+    @cached_property
+    def _swapped(self) -> VirtualAutomorphism:  # the inverse from the witnesses
+        return VirtualAutomorphism(self.codomain, self.domain, self.inverse_images, self.images)
+
 
 # ---------------------------------------------------------------------------
 # Mod-2 homology of a cover, used for the generation certificate.
@@ -88,22 +103,21 @@ def _rewritten_members(sub: Subgroup, words: Sequence[Word]) -> Optional[list[Wo
     system = sub.schreier
     out = []
     for w in words:
-        rewritten, end = rewrite_from(system, 0, validate_word(sub.pres, w))
+        rewritten, end = rewrite_from(system, 0, validate_word(sub.pres, w), system.letters)
         if end != 0:
             return None
         out.append(rewritten)
     return out
 
 
-def _generation_certified(target: Subgroup, rewritten: Sequence[Word]) -> bool:
-    """True iff members of ``target``, given rewritten in its Schreier
-    generators, provably generate it.
+def _generation_certified(pres: GenericPresentation, rewritten: Sequence[Word]) -> bool:
+    """True iff members of a subgroup with Reidemeister-Schreier
+    presentation ``pres``, given rewritten, provably generate it.
 
     The certificate is the span condition described in the module
     docstring; it passes for any generating set and never passes for a
     non-generating image of an equal-genus surface group.
     """
-    pres = reidemeister_schreier(target)
     rel_rows = [_exponent_row_mod2(r) for r in pres.relators]
     rel_rank = len(_f2_echelon(rel_rows))
     h1_dim = pres.generator_count - rel_rank
@@ -119,8 +133,15 @@ def _generation_certified(target: Subgroup, rewritten: Sequence[Word]) -> bool:
 
 
 def apply_vaut(v: VirtualAutomorphism, w: Iterable[int]) -> Word:
-    """Image of a domain element: rewrite in Schreier generators, substitute."""
-    return substitute(v.images, rewrite_in_schreier_generators(v.domain, w))
+    """Image of a domain element: one walk through the image table."""
+    return rewrite_in_schreier_generators(v.domain, w, v._pieces)
+
+
+def _images_on(v: VirtualAutomorphism, sub: Subgroup) -> Iterator[Word]:
+    """v's images of the Schreier generators of ``sub`` <= its domain."""
+    if sub.table == v.domain.table:
+        return (v._pieces[i] for i in range(1, len(v.images) + 1))
+    return (apply_vaut(v, s) for s in schreier_generators(sub))
 
 
 def validate_vaut(v: VirtualAutomorphism) -> None:
@@ -148,9 +169,10 @@ def validate_vaut(v: VirtualAutomorphism) -> None:
         raise IdentificationInvalid("an image leaves the codomain")
     rs = reidemeister_schreier(dom)
     for r in rs.relators:
-        if not words_equal(base, substitute(v.images, r), ()):
+        if not words_equal(base, substitute(v._pieces, r), ()):
             raise IdentificationInvalid("images violate a rewritten relator")
-    if not _generation_certified(cod, images):
+    cod_rs = rs if cod.table == dom.table else reidemeister_schreier(cod)
+    if not _generation_certified(cod_rs, images):
         raise IdentificationInvalid("images are not certified to generate the codomain")
     if v.inverse_images is not None:
         cogens = schreier_generators(cod)
@@ -162,10 +184,10 @@ def validate_vaut(v: VirtualAutomorphism) -> None:
         # The i-th Schreier generator rewrites to the letter i+1, so v sends
         # gens[i] to v.images[i], whose rewriting in cod is images[i].
         for s, w in zip(gens, images):
-            if not words_equal(base, substitute(v.inverse_images, w), s):
+            if not words_equal(base, substitute(v._swapped._pieces, w), s):
                 raise IdentificationInvalid("inverse witnesses do not undo the map")
         for t, w in zip(cogens, witnesses):
-            if not words_equal(base, substitute(v.images, w), t):
+            if not words_equal(base, substitute(v._pieces, w), t):
                 raise IdentificationInvalid("the map does not undo its inverse witnesses")
 
 
@@ -216,15 +238,29 @@ def from_two_arrow(cycle: TwoArrowCycle) -> VirtualAutomorphism:
     return v
 
 
+def _images_along_tree(sub: Subgroup, pieces: _PieceTable) -> tuple[Word, ...]:
+    """Images of ``sub``'s Schreier generators t_c x t_d^-1 from three pieces
+    each, the transversal words' images built once along the BFS tree."""
+    system, tree = sub.schreier, [()]
+    for d, t in enumerate(system.transversal[1:], 1):
+        tree.append(_reduced_product((tree[sub.act_letter(d, -t[-1])], pieces[t[-1]])))
+    back = [inverse_word(t) for t in tree]
+    return tuple(
+        _reduced_product((tree[c], pieces[j], back[d]))
+        for c, (row, ids) in enumerate(zip(system.table, system.edge_ids))
+        for j, (d, e) in enumerate(zip(row, ids), 1)
+        if e
+    )
+
+
 def vaut_from_automorphism(phi: Automorphism, domain: Subgroup) -> VirtualAutomorphism:
     """Restrict an ambient automorphism to a finite-index subgroup."""
-    codomain = twisted_subgroup(domain, phi.inverse_images)
-    images = tuple(apply_automorphism(phi, s) for s in schreier_generators(domain))
-    inverse_images = tuple(
-        apply_automorphism(phi, t, inverse=True)
-        for t in schreier_generators(codomain)
+    # A characteristic domain is its own image: share its Schreier system.
+    codomain = _held(twisted_subgroup(domain, phi.inverse_images), (domain,))
+    forth, back = phi._tables
+    v = VirtualAutomorphism(
+        domain, codomain, _images_along_tree(domain, forth), _images_along_tree(codomain, back)
     )
-    v = VirtualAutomorphism(domain, codomain, images, inverse_images)
     validate_vaut(v)
     return v
 
@@ -233,23 +269,27 @@ def vaut_from_automorphism(phi: Automorphism, domain: Subgroup) -> VirtualAutomo
 # Germ arithmetic.
 
 
-def germ_equals(v: VirtualAutomorphism, w: VirtualAutomorphism) -> bool:
+def germ_equals(
+    v: VirtualAutomorphism,
+    w: VirtualAutomorphism,
+    config: Optional[RunConfig] = None,
+) -> bool:
     """Agreement on the Schreier generators of the common domain.
 
     By unique root extraction in the ambient surface group, generator-level
     agreement on any finite-index subgroup already decides the germ, so the
-    common domain itself is the cheapest subgroup that does.
+    common domain itself is the cheapest subgroup that does.  Its index is
+    capped by ``max_result_index``.
     """
+    cfg = config or DEFAULT_CONFIG
     pres = v.domain.pres
     if not isinstance(pres, SurfacePresentation):
         raise ValueError("germ comparison works over the base surface group")
     if w.domain.pres != pres:
         return False
-    common = intersect(v.domain, w.domain)
-    for s in schreier_generators(common):
-        if not words_equal(pres, apply_vaut(v, s), apply_vaut(w, s)):
-            return False
-    return True
+    common = _held(intersect(v.domain, w.domain, cfg.max_result_index), (v.domain, w.domain))
+    pairs = zip(_images_on(v, common), _images_on(w, common))
+    return all(words_equal(pres, x, y) for x, y in pairs)
 
 
 def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
@@ -268,13 +308,8 @@ def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
         raise ValueError("one image per domain Schreier generator required")
     if all(s.act_word(0, w) == 0 for w in v.images):
         return dom
-    inverses = [inverse_word(w) for w in v.images]
-
-    def act(c: int, g: int) -> int:
-        return s.act_word(c, v.images[g - 1] if g > 0 else inverses[-g - 1])
-
     # A caller's germ need not be a homomorphism: check the flattened rows.
-    return Subgroup(dom.pres, _flatten_rows(dom, act))
+    return Subgroup(dom.pres, _flatten_rows(dom, lambda c, g: s.act_word(c, v._pieces[g])))
 
 
 def inverse(
@@ -289,7 +324,7 @@ def inverse(
     """
     cfg = config or DEFAULT_CONFIG
     if v.inverse_images is not None:
-        return VirtualAutomorphism(v.codomain, v.domain, v.inverse_images, v.images)
+        return v._swapped
     pres = v.domain.pres
     if not isinstance(pres, SurfacePresentation):
         raise NotInvertible("witness-free inversion needs the base surface group")
@@ -299,9 +334,8 @@ def inverse(
     targets = schreier_generators(cod)
     m = len(v.images)
     budget = 200_000
-    alphabet = [(i + 1, v.images[i]) for i in range(m)] + [
-        (-(i + 1), inverse_word(v.images[i])) for i in range(m)
-    ]
+    alphabet = [(e, v._pieces[e]) for e in [*range(1, m + 1), *range(-1, -m - 1, -1)]]
+    dom_pieces = _PieceTable(dom_gens)
     solved: list[Optional[Word]] = [None] * len(targets)
     frontier: list[tuple[tuple[int, ...], Word]] = [((), ())]
     seen = 0
@@ -313,10 +347,10 @@ def inverse(
                 if seen > budget:
                     raise NotInvertible("bounded inverse search exhausted its budget")
                 word = prefix + (sym,)
-                val = free_reduce(value + img)
+                val = _reduced_product((value, img))
                 for t_i, t in enumerate(targets):
                     if solved[t_i] is None and words_equal(pres, val, t):
-                        solved[t_i] = substitute(dom_gens, word)
+                        solved[t_i] = substitute(dom_pieces, word)
                 new_frontier.append((word, val))
         frontier = new_frontier
         if all(s is not None for s in solved):
@@ -358,16 +392,11 @@ def compose(
     # The preimages have the overlap's index, so the cap bounds them too.
     overlap = _held(intersect(v.codomain, w.domain, cfg.max_result_index), held)
     new_domain = _held(preimage_subgroup(v, overlap), held)
-    images = tuple(
-        apply_vaut(w, apply_vaut(v, s)) for s in schreier_generators(new_domain)
-    )
+    images = tuple(apply_vaut(w, x) for x in _images_on(v, new_domain))
     w_inv = inverse(w, cfg)
     v_inv = inverse(v, cfg)
     new_codomain = _held(preimage_subgroup(w_inv, overlap), held)
-    inverse_images = tuple(
-        apply_vaut(v_inv, apply_vaut(w_inv, t))
-        for t in schreier_generators(new_codomain)
-    )
+    inverse_images = tuple(apply_vaut(v_inv, y) for y in _images_on(w_inv, new_codomain))
     return _composed(new_domain, new_codomain, images, inverse_images)
 
 
@@ -470,10 +499,10 @@ def is_mcl_witness(v: VirtualAutomorphism, candidate: Subgroup) -> bool:
         return False
     if not is_subgroup_of(candidate, v.domain):
         return False
-    images = _rewritten_members(
-        candidate, [apply_vaut(v, s) for s in schreier_generators(candidate)]
+    images = _rewritten_members(candidate, list(_images_on(v, candidate)))
+    return images is not None and _generation_certified(
+        reidemeister_schreier(candidate), images
     )
-    return images is not None and _generation_certified(candidate, images)
 
 
 def bounded_mcl_search(

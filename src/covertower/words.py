@@ -12,12 +12,17 @@ satisfies the C'(1/6) small-cancellation condition (every common subword of
 two distinct symmetrized relators is a single letter), so a freely reduced
 word represents the identity iff greedy replacement of any relator subword
 longer than half the relator terminates at the empty word.
+
+Every product of words is one kernel, ``_reduced_product``, which appends
+freely reduced pieces, each cancelling against the tail so far; it serves
+``substitute``, ``concat`` and ``cosets.rewrite_from``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import neg
 from typing import Iterable, Sequence, Tuple
 
 Word = Tuple[int, ...]
@@ -32,28 +37,57 @@ def free_reduce(letters: Iterable[int]) -> Word:
             out.pop()
         else:
             out.append(x)
+    # A tuple that nothing cancels in is returned as it is, not copied.
+    return letters if type(letters) is tuple and len(out) == len(letters) else tuple(out)
+
+
+def inverse_word(w: Sequence[int]) -> Word:
+    return tuple(map(neg, reversed(w)))
+
+
+def _reduced_product(pieces: Iterable[Sequence[int]]) -> Word:
+    """The reduced product of freely reduced ``pieces``: the tail that the
+    head of a piece cancels is deleted, and the rest of the piece appended."""
+    out: list[int] = []
+    for p in pieces:
+        if out and p and out[-1] == -p[0]:
+            k, n = 1, min(len(out), len(p))
+            while k < n and out[-1 - k] == -p[k]:
+                k += 1
+            del out[-k:]
+            out.extend(p[k:])
+        else:
+            out.extend(p)
     return tuple(out)
 
 
-def inverse_word(w: Iterable[int]) -> Word:
-    return tuple(-x for x in reversed(tuple(w)))
+class _PieceTable(dict):
+    """A signed piece table: letter j to ``images[j-1]`` freely reduced, and
+    -j to its inverse, each made on first use."""
+
+    def __init__(self, images: Sequence[Iterable[int]]) -> None:
+        self.images = images
+
+    def __missing__(self, e: int) -> Word:
+        if not 0 < abs(e) <= len(self.images):
+            raise KeyError(e)
+        piece = self[e] = free_reduce(self.images[e - 1]) if e > 0 else inverse_word(self[-e])
+        return piece
 
 
-def substitute(images: Sequence[Iterable[int]], w: Iterable[int]) -> Word:
-    """Replace each letter j of ``w`` by ``images[j-1]`` and each -j by its
-    inverse, then freely reduce."""
-    out: list[int] = []
-    for x in w:
-        img = images[abs(x) - 1]
-        out.extend(img if x > 0 else inverse_word(img))
-    return free_reduce(out)
+def substitute(images: Sequence[Iterable[int]] | _PieceTable, w: Iterable[int]) -> Word:
+    """Replace each letter j of ``w`` by its image and -j by the image's
+    inverse, then freely reduce.  ``images`` lists the images of 1, 2, ...
+    or is a ``_PieceTable``; a letter with no image raises ValueError."""
+    pieces = images if isinstance(images, _PieceTable) else _PieceTable(images)
+    try:
+        return _reduced_product([pieces[x] for x in w])
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]} has no image") from None
 
 
 def concat(*ws: Iterable[int]) -> Word:
-    joined: list[int] = []
-    for w in ws:
-        joined.extend(w)
-    return free_reduce(joined)
+    return _reduced_product([free_reduce(w) for w in ws])
 
 
 def commutator_word(u: Iterable[int], v: Iterable[int]) -> Word:
@@ -178,7 +212,8 @@ def is_identity(pres: SurfacePresentation, w: Iterable[int]) -> bool:
 
 
 def words_equal(pres: SurfacePresentation, u: Iterable[int], v: Iterable[int]) -> bool:
-    return is_identity(pres, concat(u, inverse_word(v)))
+    u, v = tuple(u), tuple(v)
+    return u == v or is_identity(pres, u + inverse_word(v))
 
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from covertower import (
     Subgroup,
@@ -8,6 +9,12 @@ from covertower import (
     validate_vaut,
 )
 from covertower import vaut
+
+
+# Continuous integration runs the property tests with fixed examples
+# (``--hypothesis-profile=ci``), so a failure there reproduces on rerun,
+# and with no deadline, so a slow runner does not fail a correct example.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def pytest_configure(config):

@@ -375,6 +375,28 @@ def test_compose_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
     }
 
 
+def test_germ_eq_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
+    # The mod-2 and mod-3 homology covers share a domain of index 1,296.
+    ws = str(tmp_path)
+    germs = []
+    for n in (2, 3):
+        name = store_doc(tmp_path, subgroup_doc(homology_cover(pres2, n).subgroup)).name
+        ident = _run_json(capsys, "--workspace", ws, "vaut", "identity", "--subgroup", name)
+        germs.append(ident["file"])
+    cfg_path = tmp_path / "cap.json"
+    cfg_path.write_text(json.dumps({"max_result_index": 100}))
+    code, out, err = _run(
+        capsys, "--workspace", ws, "--config", str(cfg_path), "vaut", "germ-eq", *germs
+    )
+    assert code == 5
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "IntersectionIndexOverflow",
+        "message": "intersection exceeds index cap 100",
+    }
+    assert _run_json(capsys, "--workspace", ws, "vaut", "germ-eq", *germs) == {"germEqual": True}
+
+
 def test_char_core_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
     # An index-5 core runs the low-index search until the intersection
     # passes max_result_index; there is no separate degree cap (exit 3).

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -211,11 +212,13 @@ def test_one_validation_rewrites_each_image_and_witness_once(pres, mod4_cover, m
     monkeypatch.setattr(cosets, "rewrite_from", counted)
     monkeypatch.setattr(vaut, "rewrite_from", counted, raising=False)
     validate_vaut(v)
-    # The one relator from each of the 256 cosets, for the domain's and the
-    # codomain's Reidemeister-Schreier presentations, then each of the 769
-    # images and 769 witnesses once.
+    # The one relator from each of the 256 cosets, for the one
+    # Reidemeister-Schreier presentation that the domain and the codomain
+    # share (the cover is characteristic), then each of the 769 images and
+    # 769 witnesses once.
+    assert v.codomain.table == v.domain.table
     assert len(v.images) == len(v.inverse_images) == 769
-    assert calls == 2 * 256 + 2 * 769
+    assert calls == 256 + 2 * 769
 
 
 def test_from_two_arrow_identity_fill(pres, h1, h2):
@@ -431,6 +434,40 @@ def test_compose_refuses_an_overlap_past_the_index_cap(pres, mod4_cover):
         compose(two, three, RunConfig(max_result_index=100))
     with pytest.raises(IntersectionIndexOverflow, match="index cap 10000$"):
         compose(identity_vaut(mod4_cover), three, DEFAULT_CONFIG)
+
+
+def test_germ_equals_refuses_a_common_domain_past_the_index_cap(pres, mod4_cover):
+    # The common domain of the mod-4 and mod-3 covers has index 256 * 81 =
+    # 20,736 > 10,000, and the walk stops at the cap (it used to run to the
+    # end, in about 4 s).  CPU time, so that a busy machine does not count.
+    four = identity_vaut(mod4_cover)
+    three = identity_vaut(homology_cover(pres, 3).subgroup)
+    start = time.process_time()
+    with pytest.raises(IntersectionIndexOverflow, match="index cap 10000$"):
+        germ_equals(four, three)
+    assert time.process_time() - start < 0.1
+    two = identity_vaut(homology_cover(pres, 2).subgroup)
+    with pytest.raises(IntersectionIndexOverflow, match="index cap 100$"):
+        germ_equals(two, three, RunConfig(max_result_index=100))
+    assert germ_equals(two, three, RunConfig(max_result_index=1296))
+
+
+def test_germ_equals_reads_the_images_on_its_own_domain(pres, mod4_cover, monkeypatch):
+    # Both germs live on the mod-4 cover, so no Schreier generator of the
+    # common domain is walked again: nothing is rewritten.
+    a = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    calls = []
+    rewrite = cosets.rewrite_from
+
+    def counted(*args):
+        calls.append(args)
+        return rewrite(*args)
+
+    monkeypatch.setattr(cosets, "rewrite_from", counted)
+    monkeypatch.setattr(vaut, "rewrite_from", counted)
+    assert germ_equals(a, a)
+    assert not germ_equals(a, identity_vaut(mod4_cover))
+    assert calls == []
 
 
 def test_compose_associativity(pres, h1):
