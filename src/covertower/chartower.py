@@ -5,10 +5,10 @@ by quantifying over the full automorphism group:
 
 * hom-kernel-intersection: the intersection of the kernels of every
   homomorphism to the symmetric group on n points (automorphisms permute
-  the homomorphism set, so the intersection is invariant), computed as the
-  intersection of all subgroups of index <= n;
-* homology-level: the kernel of the mod-n first-homology map, realized as
-  a translation action on (Z/n)^(2g);
+  the homomorphism set, so the intersection is invariant): the abelian
+  kernel mod lcm(1..n) cut by every subgroup of index <= n;
+* homology-level: the kernel of G -> H1(G) (x) Z/n, which like the abelian
+  kernels ``_abelian_kernel`` reads off the relator matrix's diagonal form;
 * intersection: an intersection of two certified subgroups;
 * supplied-aut-invariance: invariance checked against an explicit list of
   automorphisms only (a partial certificate).
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import (
     CoveringArrow,
     Subgroup,
-    contains,
     covering_genus,
     factor_through,
     full_subgroup,
@@ -33,7 +32,7 @@ from .cosets import (
     is_normal,
     is_subgroup_of,
     restrict_to_cover,
-    schreier_generators,
+    twisted_subgroup,
     _flatten_rows,
     _orbit_rows,
 )
@@ -57,9 +56,7 @@ from .words import (
     substitute,
     validate_word,
     _PieceTable,
-    _exponent_row_mod2,
-    _f2_echelon,
-    _f2_reduce,
+    _diagonal_form,
 )
 
 CharKind = str  # "hom-kernel-intersection" | "homology-level" | "intersection" | "supplied-aut-invariance"
@@ -170,37 +167,66 @@ def builtin_test_automorphisms(pres: SurfacePresentation) -> tuple[Automorphism,
 # Certified characteristic subgroups.
 
 
+def _abelian_kernel(pres: Presentation, n: int, cap: int) -> tuple[int, Optional[Subgroup]]:
+    """The index of the kernel of G -> H1(G) (x) Z/n, and the kernel if the
+    index is within ``cap``, else None.  Its cosets are the vectors of the
+    sum of the Z/gcd(d_i, n), d the diagonal form, coded as a mixed-radix
+    int; a letter adds its row of the column transform."""
+    k = pres.generator_count
+    d, u = _diagonal_form(pres.relators, k)
+    radices = [gcd(x, n) for x in d]
+    index = prod(radices)
+    if index > cap:
+        return index, None
+    places = [prod(radices[:i]) for i in range(k)]
+    # moves[x]: (place value, radix, digit added) for each digit letter x moves.
+    moves = {
+        s * j: [(p, m, s * x % m) for p, m, x in zip(places, radices, row) if x % m]
+        for j, row in enumerate(u, 1)
+        for s in (1, -1)
+    }
+
+    def step(c: int, x: int) -> int:
+        for p, m, s in moves[x]:
+            c += s * p if c // p % m < m - s else (s - m) * p
+        return c
+
+    return index, Subgroup(pres, _orbit_rows(k, 0, step))
+
+
 def _kernel_core(pres: Presentation, n: int, cfg: RunConfig) -> Subgroup:
     """Intersection of the kernels of every homomorphism to Sym(n).
 
-    A kernel is the intersection of its point stabilizers, each of index
-    <= n, and each subgroup of index <= n is such a stabilizer, so this
-    intersects the low-index search's subgroups as they are found.  At
-    n = 2 it is the mod-2 homology kernel: a word's coset is its reduced
-    exponent row mod 2.
-    """
+    Maps onto Z/m with m <= n are among them, so the core lies in the
+    abelian kernel mod L = lcm(1..n), and is that kernel at n <= 2.  Past
+    that, the kernel's index refuses a core over the cap with no search;
+    else the low-index search's subgroups are intersected into it as found:
+    a kernel is the intersection of its point stabilizers, each of index
+    <= n, and each subgroup of index <= n is such a stabilizer."""
     cap = cfg.max_result_index
-    if n == 2:
-        basis = _f2_echelon(_exponent_row_mod2(r) for r in pres.relators)
-        index = 2 ** (pres.generator_count - len(basis))
-        if index > cap:
-            raise IntersectionIndexOverflow(f"core at n=2 has index {index}, above cap {cap}")
-        red = [_f2_reduce(basis, 1 << j) for j in range(pres.generator_count)]
-        rows = _orbit_rows(pres.generator_count, 0, lambda v, x: v ^ red[abs(x) - 1])
-        return Subgroup(pres, rows)
-    core, used = full_subgroup(pres), 0
+    if n > max(2, cfg.max_index):
+        _each_subgroup(pres, n, cfg, None)  # refused at its budget check (exit 3)
+    L = lcm(*range(1, n + 1))
+    # A relator lowers the rank by one at most: a bound with no elimination.
+    bound = L ** max(pres.generator_count - len(pres.relators), 0)
+    index, core = (bound, None) if bound > cap else _abelian_kernel(pres, L, cap)
+    if core is None:
+        least = "" if n <= 2 and bound <= cap else "at least "
+        raise IntersectionIndexOverflow(f"core at n={n} has index {least}{index}, above cap {cap}")
+    if n <= 2:
+        return core
+    used = 0
 
     def meet(s: Subgroup) -> None:
         nonlocal core, used
         used += 1
-        if not is_subgroup_of(core, s):
-            try:
-                core = intersect(core, s, cap)
-            except IntersectionIndexOverflow:
-                raise IntersectionIndexOverflow(
-                    f"core at n={n} exceeds index cap {cap} at subgroup {used} of "
-                    f"index <= {n}; the first {used - 1} intersect to index {core.index}"
-                ) from None
+        try:
+            core = intersect(core, s, cap)
+        except IntersectionIndexOverflow:
+            raise IntersectionIndexOverflow(
+                f"core at n={n} exceeds index cap {cap} at subgroup {used} of "
+                f"index <= {n}; the first {used - 1} intersect to index {core.index}"
+            ) from None
 
     _each_subgroup(pres, n, cfg, meet)
     return core
@@ -238,10 +264,10 @@ def char_core(sub: Subgroup, config: Optional[RunConfig] = None) -> CharSubgroup
     """Intersection of the kernels of all homomorphisms to Sym(index(sub)).
 
     The result is a characteristic subgroup contained in ``sub``.  The
-    low-index search is bounded by the config's ``max_index`` and
-    ``max_search_nodes`` (BudgetExceeded), the core by ``max_result_index``
-    (IntersectionIndexOverflow).
-    """
+    low-index search is bounded by ``max_index`` and ``max_search_nodes``
+    (BudgetExceeded), the core by ``max_result_index``
+    (IntersectionIndexOverflow), which the abelian kernel's index may pass
+    with no search."""
     core = _kernel_core(sub.pres, sub.index, config or DEFAULT_CONFIG)
     assert is_subgroup_of(core, sub), "core must land inside the input"
     assert is_normal(core)
@@ -254,44 +280,23 @@ def homology_cover(
     config: Optional[RunConfig] = None,
 ) -> CharSubgroup:
     """Kernel of the mod-n first homology map, index n^(2g)."""
-    cfg = config or DEFAULT_CONFIG
+    cap = (config or DEFAULT_CONFIG).max_result_index
     if not isinstance(pres, SurfacePresentation):
         raise TypeError("homology covers are built over surface presentations")
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = pres.generator_count
-    size = n**k
-    if size > cfg.max_result_index:
-        raise IndexOverflow(
-            f"homology cover index {size} above cap {cfg.max_result_index}"
-        )
-    # Vectors of (Z/n)^k are encoded in base n; letter +-j adds +-1 to digit j.
-    powers = [n**j for j in range(k)]
-
-    def step(c: int, x: int) -> int:
-        p = powers[abs(x) - 1]
-        digit = (c // p) % n
-        return c + ((digit + (1 if x > 0 else -1)) % n - digit) * p
-
-    sub = Subgroup(pres, _orbit_rows(k, 0, step))
+    index, sub = _abelian_kernel(pres, n, cap)
+    if sub is None:
+        raise IndexOverflow(f"homology cover index {index} above cap {cap}")
     return CharSubgroup(sub, CharCertificate("homology-level", level=n))
 
 
 def is_invariant_under(
     sub: Subgroup, auts: Sequence[Automorphism]
 ) -> bool:
-    """True iff phi(sub) = sub for every automorphism supplied.
-
-    Membership of every Schreier generator image suffices: an automorphism
-    preserves the index, and a finite-index subgroup containing an
-    equal-index subgroup equals it.
-    """
-    gens = schreier_generators(sub)
-    for phi in auts:
-        for s in gens:
-            if not contains(sub, apply_automorphism(phi, s)):
-                return False
-    return True
+    """True iff phi(sub) = sub for every automorphism supplied: the table on
+    which each generator acts as its inverse image is ``sub``'s own."""
+    return all(twisted_subgroup(sub, phi.inverse_images) == sub for phi in auts)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ actions) and ``chartower.char_core_within`` (the rows that
 
 Every orbit walk that builds or checks a table (the constructor itself,
 intersection, tables from permutations, flattening an action over a
-cover, and the kernel and homology tables of ``chartower``) goes through
+cover, and the abelian kernel tables of ``chartower``) goes through
 one primitive, ``_orbit_rows``: it labels the orbit of a start state in
 that same BFS order, so the rows it returns are canonical by
 construction.  Flattening, ``_flatten_rows``, walks (cover coset, state)
@@ -371,9 +371,15 @@ def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
 
 
 def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subgroup:
-    """Intersection: the orbit of (0, 0) in the product action."""
+    """Intersection: the input of larger index if one coset-map walk puts it
+    in the other, else the orbit of (0, 0) in the product action."""
     if a.pres != b.pres:
         raise InconsistentInput("subgroups of different presentations")
+    fine, coarse = (a, b) if a.index >= b.index else (b, a)
+    if max_index is not None and fine.index > max_index:  # the result lies in ``fine``
+        raise IntersectionIndexOverflow(f"intersection exceeds index cap {max_index}")
+    if _coset_map(fine, coarse, 0) is not None:
+        return fine
     # The product action of two valid tables satisfies every relator.
     try:
         rows = _orbit_rows(

@@ -287,7 +287,7 @@ def germ_equals(
         raise ValueError("germ comparison works over the base surface group")
     if w.domain.pres != pres:
         return False
-    common = _held(intersect(v.domain, w.domain, cfg.max_result_index), (v.domain, w.domain))
+    common = intersect(v.domain, w.domain, cfg.max_result_index)
     pairs = zip(_images_on(v, common), _images_on(w, common))
     return all(words_equal(pres, x, y) for x, y in pairs)
 
@@ -390,7 +390,7 @@ def compose(
     cfg = config or DEFAULT_CONFIG
     held = (v.domain, v.codomain, w.domain, w.codomain)
     # The preimages have the overlap's index, so the cap bounds them too.
-    overlap = _held(intersect(v.codomain, w.domain, cfg.max_result_index), held)
+    overlap = intersect(v.codomain, w.domain, cfg.max_result_index)
     new_domain = _held(preimage_subgroup(v, overlap), held)
     images = tuple(apply_vaut(w, x) for x in _images_on(v, new_domain))
     w_inv = inverse(w, cfg)

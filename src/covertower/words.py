@@ -218,25 +218,13 @@ def words_equal(pres: SurfacePresentation, u: Iterable[int], v: Iterable[int]) -
 
 
 # ---------------------------------------------------------------------------
-# Exponent sums mod 2 as bit rows, bit i for generator i+1, and F2 reduction.
+# Exponent sums mod 2 as bit rows (bit i for generator i+1), and over Z.
 
 
 def _exponent_row_mod2(w: Iterable[int]) -> int:
     out = 0
     for x in w:
         out ^= 1 << (abs(x) - 1)
-    return out
-
-
-def _f2_reduce(basis: dict[int, int], v: int) -> int:
-    """The representative of ``v`` modulo the span of ``basis`` (rows keyed by
-    distinct leading bits) that has none of those bits set."""
-    out = 0
-    while v:
-        lead = v.bit_length() - 1
-        if lead not in basis:
-            out |= 1 << lead
-        v ^= basis.get(lead, 1 << lead)
     return out
 
 
@@ -251,3 +239,63 @@ def _f2_echelon(rows: Iterable[int]) -> dict[int, int]:
                 break
             v ^= basis[lead]
     return basis
+
+
+def _diagonal_form(relators: Iterable[Word], k: int) -> tuple[list[int], list[list[int]]]:
+    """Diagonal entries d and column transform u of the exponent matrix of
+    ``relators`` over k generators: one row per relator, one column per
+    generator.
+
+    Unimodular row and column operations bring the matrix to a diagonal
+    one; ``u`` is the product of the column operations, so x -> x u maps
+    Z^k modulo the row span onto the sum of the Z/d_i, and generator j goes
+    to row j of ``u``.  ``d`` has k entries, zero for a free
+    summand; no entry need divide the next.  Each pivot is an entry of least
+    absolute value, so the remainders that clearing its row and column leave
+    shrink until none is left (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 1993, 2.4.4).
+    """
+    a = []
+    for r in relators:
+        a.append([0] * k)
+        for x in r:
+            a[-1][abs(x) - 1] += 1 if x > 0 else -1
+    a = [row for row in a if any(row)]
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    d: list[int] = []
+    for t in range(min(len(a), k)):
+        while True:
+            pivot, least = None, 0
+            for i in range(t, len(a)):
+                row = a[i]
+                for j in range(t, k):
+                    v = abs(row[j])
+                    if v and (not least or v < least):
+                        pivot, least = (i, j), v
+                if least == 1:
+                    break
+            if pivot is None:
+                return d + [0] * (k - len(d)), u
+            i, j = pivot
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a[t:] + u:
+                    row[t], row[j] = row[j], row[t]
+            top, p = a[t], a[t][t]
+            clear = True
+            for row in a[t + 1 :]:
+                q = row[t] // p
+                if q:
+                    for c in range(t, k):
+                        row[c] -= q * top[c]
+                clear = clear and not row[t]
+            for c in range(t + 1, k):
+                q = top[c] // p
+                if q:
+                    for row in a[t:] + u:
+                        row[c] -= q * row[t]
+                clear = clear and not top[c]
+            if clear:
+                d.append(least)
+                break
+    return d + [0] * (k - len(d)), u

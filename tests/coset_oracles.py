@@ -104,6 +104,86 @@ def sym_kernel_intersection(k, relators, n):
     return bfs_canonical(table, 0)
 
 
+def homology_table(k, n):
+    """Canonical table of the mod-n homology cover of a surface with k
+    generators, by the base-n walk: H1 (x) Z/n is (Z/n)^k, coded in base n,
+    and generator j adds 1 to digit j."""
+    powers = [n**j for j in range(k)]
+    rows = []
+    for c in range(n**k):
+        row = []
+        for j in range(k):
+            digit = (c // powers[j]) % n
+            row.append(c + (((digit + 1) % n) - digit) * powers[j])
+        rows.append(tuple(row))
+    return bfs_canonical(rows, 0)
+
+
+def mod_two_kernel_table(k, relators):
+    """Canonical table of the kernel of <x1..xk | relators> -> H1 (x) Z/2, by
+    the F2 walk: a word's coset is its exponent-parity row, a bit per
+    generator, reduced modulo an echelon basis of the relators' rows."""
+    basis = []  # (leading bit, row), leading bits decreasing
+
+    def reduce(v):
+        for lead, row in basis:
+            if v >> lead & 1:
+                v ^= row
+        return v
+
+    for r in relators:
+        v = 0
+        for x in r:
+            v ^= 1 << (abs(x) - 1)
+        v = reduce(v)
+        if v:
+            basis = sorted(basis + [(v.bit_length() - 1, v)], reverse=True)
+    label = {0: 0}
+    order = [0]
+    rows = []
+    for v in order:  # grows while it is walked
+        row = []
+        for j in range(k):
+            w = reduce(v ^ (1 << j))
+            if w not in label:
+                label[w] = len(order)
+                order.append(w)
+            row.append(label[w])
+        rows.append(tuple(row))
+    return bfs_canonical(rows, 0)
+
+
+def abelian_kernel_table(k, relators, n):
+    """Canonical table of the kernel of <x1..xk | relators> -> H1 (x) Z/n, by
+    brute force over (Z/n)^k: a coset is the least vector of its class
+    modulo the span of the relators' exponent rows, and generator j adds 1
+    to coordinate j."""
+    span = {(0,) * k}
+    for r in relators:  # the span so far plus every multiple of the new row
+        row = [0] * k
+        for x in r:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+        span = {tuple((a + m * b) % n for a, b in zip(v, row)) for v in span for m in range(n)}
+
+    def rep(v):
+        return min(tuple((a + b) % n for a, b in zip(v, r)) for r in span)
+
+    def step(v, j):
+        return rep(tuple((a + (i == j)) % n for i, a in enumerate(v)))
+
+    zero = (0,) * k
+    label = {zero: 0}
+    order = [zero]
+    for v in order:  # grows while it is walked
+        for j in range(k):
+            w = step(v, j)
+            if w not in label:
+                label[w] = len(order)
+                order.append(w)
+    rows = tuple(tuple(label[step(v, j)] for j in range(k)) for v in order)
+    return bfs_canonical(rows, 0)
+
+
 def deck_group_by_bfs(rows):
     """Order, abelian flag and exponent of the group that the generators'
     columns of a normal subgroup's table generate, found by breadth-first

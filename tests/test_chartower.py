@@ -39,6 +39,7 @@ from covertower import (
     make_subgroup,
     reidemeister_schreier,
     restrict_to_cover,
+    schreier_generators,
     twisted_subgroup,
     vaut_from_automorphism,
     verify_certificate,
@@ -141,21 +142,39 @@ def test_sym2_kernel_oracle_is_the_mod_two_homology_cover(pres2):
     assert oracle == homology_cover(pres2, 2).subgroup.table
 
 
+def _no_search(*args):
+    raise AssertionError("the low-index search must not run")
+
+
 @pytest.mark.parametrize("genus, n", [(2, 4), (2, 5), (2, 6), (3, 3)])
-def test_char_core_refusal_says_how_far_it_got(genus, n):
+def test_char_core_refusal_says_how_far_it_got(genus, n, monkeypatch):
+    # The core lies in the kernel of G -> H1 (x) Z/L, L = lcm(1..n), of index
+    # L^(2g).  Past n = 4 one relator on 2g generators already bounds it by
+    # L^(2g-1) = 60^3, before any elimination.
+    bound = {(2, 4): 12**4, (2, 5): 60**3, (2, 6): 60**3, (3, 3): 6**6}[genus, n]
+    monkeypatch.setattr(chartower, "_each_subgroup", _no_search)
     sub = _cyclic_cover(SurfacePresentation(genus), n)
     with pytest.raises(IntersectionIndexOverflow) as excinfo:
         char_core(sub)
+    assert str(excinfo.value) == f"core at n={n} has index at least {bound}, above cap 10000"
+
+
+def test_char_core_search_overflow_says_how_far_it_got():
+    # At genus 2, n = 3 the abelian kernel has index 6^4 = 1296, under the
+    # cap, so the search intersects into it until the cap is passed.
+    sub = _cyclic_cover(SurfacePresentation(2), 3)
+    with pytest.raises(IntersectionIndexOverflow) as excinfo:
+        char_core(sub)
     match = re.fullmatch(
-        rf"core at n={n} exceeds index cap 10000 at subgroup (\d+) of index "
-        rf"<= {n}; the first (\d+) intersect to index (\d+)",
+        r"core at n=3 exceeds index cap 10000 at subgroup (\d+) of index "
+        r"<= 3; the first (\d+) intersect to index (\d+)",
         str(excinfo.value),
     )
     assert match, str(excinfo.value)
     used, before, reached = map(int, match.groups())
     # The refusal comes within a handful of subgroups, not at the node budget.
     assert before == used - 1 and used < 20
-    assert 1 < reached <= 10_000
+    assert reached % 1296 == 0 and 1296 < reached <= 10_000
 
 
 def test_mod_two_core_overflow_names_the_index(index_two_subgroups):
@@ -166,17 +185,27 @@ def test_mod_two_core_overflow_names_the_index(index_two_subgroups):
 
 def test_relative_core_at_index_two_refuses_without_a_search(pres2, monkeypatch):
     # Inside the genus-17 mod-2 cover the relative core at relative index 2
-    # has index 2^34; the closed form refuses before any low-index search.
-    def no_search(*args):
-        raise AssertionError("the low-index search must not run at n = 2")
-
-    monkeypatch.setattr(chartower, "_each_subgroup", no_search)
+    # has index 2^34.  The cover's presentation has 49 generators and 16
+    # relators, so the bound 2^33 refuses it before any elimination or search.
+    monkeypatch.setattr(chartower, "_each_subgroup", _no_search)
     h2 = homology_cover(pres2, 2).subgroup
     inner = intersect(h2, _cyclic_cover(pres2, 4))
     assert inner.index == 32
-    with pytest.raises(IntersectionIndexOverflow, match="index 17179869184"):
+    with pytest.raises(IntersectionIndexOverflow, match="index at least 8589934592,"):
         char_core_within(h2, inner)
     assert char_order(inner, h2) == "unknown"
+
+
+def test_relative_core_at_index_three_refuses_without_a_search(pres2, monkeypatch):
+    # The same cover at relative index 3: L = 6 and 6^33 is over the cap, so
+    # the edge is "unknown" at once where the search ran for a second.
+    monkeypatch.setattr(chartower, "_each_subgroup", _no_search)
+    h2 = homology_cover(pres2, 2).subgroup
+    inner = intersect(h2, _cyclic_cover(pres2, 3))
+    assert inner.index == 48
+    assert char_order(inner, h2) == "unknown"
+    with pytest.raises(IntersectionIndexOverflow, match=f"^core at n=3 has index at least {6**33},"):
+        char_core_within(h2, inner)
 
 
 def test_homology_covers(pres2):
@@ -306,6 +335,24 @@ def test_invariance_and_restriction(pres2, index_two_subgroups):
     h = index_two_subgroups[0]
     assert not is_invariant_under(h, (handle_swap(pres2),))
     assert vaut_from_automorphism(handle_swap(pres2), h).codomain != h
+
+
+def test_invariance_matches_the_schreier_generator_route(pres2):
+    # phi(H) = H iff phi maps every Schreier generator of H into H: an
+    # automorphism keeps the index, and a subgroup holding one of equal
+    # index equals it.  The twisted table must give the same verdicts.
+    normal = [s for s in low_index_subgroups(pres2, 3) if is_normal(s)]
+    auts = builtin_test_automorphisms(pres2)
+    assert len(normal) == 56 and len(auts) == 5
+    verdicts = []
+    for sub in normal:
+        gens = schreier_generators(sub)
+        for phi in auts:
+            expected = all(contains(sub, apply_automorphism(phi, g)) for g in gens)
+            assert is_invariant_under(sub, (phi,)) == expected
+            verdicts.append(expected)
+        assert is_invariant_under(sub, auts) == all(verdicts[-5:])
+    assert sum(all(verdicts[i : i + 5]) for i in range(0, len(verdicts), 5)) == 12
 
 
 def test_build_char_tower(pres2):

@@ -398,8 +398,9 @@ def test_germ_eq_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
 
 
 def test_char_core_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
-    # An index-5 core runs the low-index search until the intersection
-    # passes max_result_index; there is no separate degree cap (exit 3).
+    # An index-5 core lies in the abelian kernel mod lcm(1..5) = 60, whose
+    # index is at least 60^3 with 4 generators and 1 relator: refused with
+    # no search.  There is no separate degree cap (exit 3).
     five = make_subgroup(pres2, [(1, 2, 3, 4, 0)] + [tuple(range(5))] * 3)
     name = store_doc(tmp_path, subgroup_doc(five)).name
     code, out, err = _run(
@@ -409,7 +410,7 @@ def test_char_core_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
     assert out == ""
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "IntersectionIndexOverflow"
-    assert diagnostic["message"].startswith("core at n=5 exceeds index cap 10000")
+    assert diagnostic["message"] == "core at n=5 has index at least 216000, above cap 10000"
 
 
 def test_schema_error_exit_six(tmp_path, capsys):

@@ -14,12 +14,13 @@ from collections import deque
 
 import pytest
 
-from coset_oracles import alphabet, bfs_canonical, inverse_rows, walk
+from coset_oracles import alphabet, bfs_canonical, homology_table, inverse_rows, walk
 from covertower import (
     IntersectionIndexOverflow,
     NotTransitive,
     RelatorViolated,
     Subgroup,
+    SurfacePresentation,
     conjugate_subgroup,
     factor_through,
     free_reduce,
@@ -64,19 +65,6 @@ def _old_intersect_table(a, b, max_index=None):
         tuple(label[(rows_a[ca][j], rows_b[cb][j])] for j in range(k))
         for ca, cb in order
     )
-
-
-def _old_homology_table(pres, n):
-    k = pres.generator_count
-    powers = [n**j for j in range(k)]
-    rows = []
-    for c in range(n**k):
-        row = []
-        for j in range(k):
-            digit = (c // powers[j]) % n
-            row.append(c + (((digit + 1) % n) - digit) * powers[j])
-        rows.append(tuple(row))
-    return bfs_canonical(rows, 0)
 
 
 def _violates_a_relator(pres, rows):
@@ -190,11 +178,18 @@ def test_flattened_tables_are_canonical(pres2, index_two_subgroups, index_le_thr
             assert flat == bfs_canonical(inner.table, 0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_homology_cover_matches_the_integer_rows(pres2, n):
     sub = homology_cover(pres2, n).subgroup
     assert sub.index == n**4
-    assert sub.table == _old_homology_table(pres2, n)
+    assert sub.table == homology_table(4, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_genus_three_homology_cover_matches_the_integer_rows(n):
+    sub = homology_cover(SurfacePresentation(3), n).subgroup
+    assert sub.index == n**6
+    assert sub.table == homology_table(6, n)
 
 
 def _conjugated_action(sub, rng):

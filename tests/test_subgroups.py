@@ -10,6 +10,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from coset_oracles import bfs_canonical, deck_group_by_bfs
 from covertower import (
+    IntersectionIndexOverflow,
     NotNormal,
     NotTransitive,
     RelatorViolated,
@@ -254,6 +255,26 @@ def test_intersection_properties(pres2, index_two_subgroups):
     left = intersect(intersect(a, b), c)
     right = intersect(a, intersect(b, c))
     assert left == right
+
+
+def test_intersection_of_nested_inputs_is_the_smaller_input(pres2, mod4_cover, monkeypatch):
+    # a <= b gives a itself, found by one coset-map walk with no product
+    # orbit; the cap still refuses an input past it.
+    def no_orbit(*args):
+        raise AssertionError("nested inputs need no product orbit")
+
+    mod2 = homology_cover(pres2, 2).subgroup
+    full = full_subgroup(pres2)
+    copy = Subgroup(pres2, mod4_cover.table)
+    monkeypatch.setattr(cosets, "_orbit_rows", no_orbit)
+    for a, b in ((mod4_cover, mod2), (mod4_cover, full), (mod4_cover, copy), (copy, mod4_cover)):
+        assert intersect(a, b) is a
+        assert intersect(b, a) is (a if b.index < a.index else b)
+        assert intersect(a, b, 256) is a
+    with pytest.raises(IntersectionIndexOverflow, match="^intersection exceeds index cap 255$"):
+        intersect(mod2, mod4_cover, 255)
+    with pytest.raises(IntersectionIndexOverflow, match="^intersection exceeds index cap 255$"):
+        intersect(mod4_cover, mod4_cover, 255)
 
 
 def test_intersection_table_is_built_canonical(pres2):

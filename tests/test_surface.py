@@ -19,6 +19,7 @@ import covertower
 ENTRY_POINTS = {
     # cosets: the constructions that the package's own pipelines do not call.
     "conjugate_subgroup": "cosets: conjugate subgroups",
+    "contains": "cosets: membership of a word, the question a coset table answers",
     "deck_group": "cosets: deck group of a normal cover",
     "make_subgroup": "trust boundary: a coset table from caller-supplied permutations",
     # chartower: certificates, relative cores and edge tags.
