@@ -172,6 +172,8 @@ def _abelian_kernel(pres: Presentation, n: int, cap: int) -> tuple[int, Optional
     index is within ``cap``, else None.  Its cosets are the vectors of the
     sum of the Z/gcd(d_i, n), d the diagonal form, coded as a mixed-radix
     int; a letter adds its row of the column transform."""
+    if n == 1:  # the whole group, with no elimination
+        return 1, full_subgroup(pres)
     k = pres.generator_count
     d, u = _diagonal_form(pres.relators, k)
     radices = [gcd(x, n) for x in d]
@@ -197,21 +199,21 @@ def _abelian_kernel(pres: Presentation, n: int, cap: int) -> tuple[int, Optional
 def _kernel_core(pres: Presentation, n: int, cfg: RunConfig) -> Subgroup:
     """Intersection of the kernels of every homomorphism to Sym(n).
 
-    Maps onto Z/m with m <= n are among them, so the core lies in the
-    abelian kernel mod L = lcm(1..n), and is that kernel at n <= 2.  Past
-    that, the kernel's index refuses a core over the cap with no search;
-    else the low-index search's subgroups are intersected into it as found:
-    a kernel is the intersection of its point stabilizers, each of index
-    <= n, and each subgroup of index <= n is such a stabilizer."""
+    Maps onto Z/m, m <= n, are among them, so the core lies in the abelian
+    kernel mod L = lcm(1..n), and is that kernel at n <= 2.  Past that, a
+    kernel over the cap refuses with no search, else each subgroup of index
+    <= n (a point stabilizer of such a map) cuts it."""
     cap = cfg.max_result_index
-    if n > max(2, cfg.max_index):
-        _each_subgroup(pres, n, cfg, None)  # refused at its budget check (exit 3)
+    if n > max(2, cfg.max_index):  # the search's own refusal, before any bound
+        raise BudgetExceeded(f"max_index {n} above configured cap {cfg.max_index}")
     L = lcm(*range(1, n + 1))
-    # A relator lowers the rank by one at most: a bound with no elimination.
-    bound = L ** max(pres.generator_count - len(pres.relators), 0)
-    index, core = (bound, None) if bound > cap else _abelian_kernel(pres, L, cap)
+    # No elimination: a relator lowers the rank by one at most (shown as a power: it may be huge).
+    e = max(pres.generator_count - len(pres.relators), 0)
+    if L**e > cap:
+        raise IntersectionIndexOverflow(f"core at n={n} has index at least {L}^{e}, above cap {cap}")
+    index, core = _abelian_kernel(pres, L, cap)
     if core is None:
-        least = "" if n <= 2 and bound <= cap else "at least "
+        least = "at least " if n > 2 else ""
         raise IntersectionIndexOverflow(f"core at n={n} has index {least}{index}, above cap {cap}")
     if n <= 2:
         return core
@@ -265,9 +267,8 @@ def char_core(sub: Subgroup, config: Optional[RunConfig] = None) -> CharSubgroup
 
     The result is a characteristic subgroup contained in ``sub``.  The
     low-index search is bounded by ``max_index`` and ``max_search_nodes``
-    (BudgetExceeded), the core by ``max_result_index``
-    (IntersectionIndexOverflow), which the abelian kernel's index may pass
-    with no search."""
+    (BudgetExceeded), the core by ``max_result_index`` (IntersectionIndexOverflow),
+    which the abelian kernel's index may pass with no search."""
     core = _kernel_core(sub.pres, sub.index, config or DEFAULT_CONFIG)
     assert is_subgroup_of(core, sub), "core must land inside the input"
     assert is_normal(core)
@@ -294,8 +295,7 @@ def homology_cover(
 def is_invariant_under(
     sub: Subgroup, auts: Sequence[Automorphism]
 ) -> bool:
-    """True iff phi(sub) = sub for every automorphism supplied: the table on
-    which each generator acts as its inverse image is ``sub``'s own."""
+    """True iff phi(sub), as ``twisted_subgroup`` builds it, is sub for each phi."""
     return all(twisted_subgroup(sub, phi.inverse_images) == sub for phi in auts)
 
 

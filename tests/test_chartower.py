@@ -8,6 +8,7 @@ from coset_oracles import bfs_canonical, sym_kernel_intersection
 
 from covertower import (
     Automorphism,
+    BudgetExceeded,
     CharCertificate,
     CharSubgroup,
     GenericPresentation,
@@ -146,17 +147,29 @@ def _no_search(*args):
     raise AssertionError("the low-index search must not run")
 
 
+def _no_elimination(*args):
+    raise AssertionError("the relator matrix must not be eliminated")
+
+
 @pytest.mark.parametrize("genus, n", [(2, 4), (2, 5), (2, 6), (3, 3)])
 def test_char_core_refusal_says_how_far_it_got(genus, n, monkeypatch):
     # The core lies in the kernel of G -> H1 (x) Z/L, L = lcm(1..n), of index
     # L^(2g).  Past n = 4 one relator on 2g generators already bounds it by
-    # L^(2g-1) = 60^3, before any elimination.
-    bound = {(2, 4): 12**4, (2, 5): 60**3, (2, 6): 60**3, (3, 3): 6**6}[genus, n]
+    # L^(2g-1) = 60^3, before any elimination; that bound prints as a power.
+    bound = {(2, 4): 12**4, (2, 5): "60^3", (2, 6): "60^3", (3, 3): 6**6}[genus, n]
     monkeypatch.setattr(chartower, "_each_subgroup", _no_search)
     sub = _cyclic_cover(SurfacePresentation(genus), n)
     with pytest.raises(IntersectionIndexOverflow) as excinfo:
         char_core(sub)
     assert str(excinfo.value) == f"core at n={n} has index at least {bound}, above cap 10000"
+
+
+def test_char_core_past_max_index_is_refused_before_the_bound(monkeypatch):
+    # 60^3 is over the cap too, but a search past max_index refuses first.
+    monkeypatch.setattr(chartower, "_each_subgroup", _no_search)
+    sub = _cyclic_cover(SurfacePresentation(2), 5)
+    with pytest.raises(BudgetExceeded, match="^max_index 5 above configured cap 4$"):
+        char_core(sub, RunConfig(max_index=4))
 
 
 def test_char_core_search_overflow_says_how_far_it_got():
@@ -191,7 +204,7 @@ def test_relative_core_at_index_two_refuses_without_a_search(pres2, monkeypatch)
     h2 = homology_cover(pres2, 2).subgroup
     inner = intersect(h2, _cyclic_cover(pres2, 4))
     assert inner.index == 32
-    with pytest.raises(IntersectionIndexOverflow, match="index at least 8589934592,"):
+    with pytest.raises(IntersectionIndexOverflow, match=r"index at least 2\^33,"):
         char_core_within(h2, inner)
     assert char_order(inner, h2) == "unknown"
 
@@ -204,8 +217,31 @@ def test_relative_core_at_index_three_refuses_without_a_search(pres2, monkeypatc
     inner = intersect(h2, _cyclic_cover(pres2, 3))
     assert inner.index == 48
     assert char_order(inner, h2) == "unknown"
-    with pytest.raises(IntersectionIndexOverflow, match=f"^core at n=3 has index at least {6**33},"):
+    with pytest.raises(IntersectionIndexOverflow, match=r"^core at n=3 has index at least 6\^33,"):
         char_core_within(h2, inner)
+
+
+def test_relative_core_bound_too_long_for_decimal_says_unknown(pres2, monkeypatch):
+    # Inside the index-1,296 mod-6 cover (3,889 generators, 1,296 relators)
+    # the relative core at index 5 is bounded by 60^2593, over 4,300 digits:
+    # more than Python will print as a decimal int.
+    monkeypatch.setattr(chartower, "_each_subgroup", _no_search)
+    h6 = homology_cover(pres2, 6).subgroup
+    inner = intersect(h6, _cyclic_cover(pres2, 5))
+    assert inner.index == 6480
+    assert char_order(inner, h6) == "unknown"
+    with pytest.raises(IntersectionIndexOverflow, match=r"^core at n=5 has index at least 60\^2593,"):
+        char_core_within(h6, inner)
+
+
+def test_core_at_relative_index_one_needs_no_elimination(pres2, monkeypatch):
+    # The mod-8 cover's own presentation has 12,289 generators and 4,096
+    # relators; at n = 1 the core is the whole cover group, read off directly.
+    h8 = homology_cover(pres2, 8)
+    monkeypatch.setattr(chartower, "_diagonal_form", _no_elimination)
+    monkeypatch.setattr(chartower, "_each_subgroup", _no_search)
+    rel = char_core_within(h8, h8.subgroup)
+    assert rel.relative.index == 1 and rel.absolute == h8.subgroup
 
 
 def test_homology_covers(pres2):

@@ -410,7 +410,7 @@ def test_char_core_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
     assert out == ""
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "IntersectionIndexOverflow"
-    assert diagnostic["message"] == "core at n=5 has index at least 216000, above cap 10000"
+    assert diagnostic["message"] == "core at n=5 has index at least 60^3, above cap 10000"
 
 
 def test_schema_error_exit_six(tmp_path, capsys):
