@@ -22,18 +22,24 @@ an isomorphism.
 
 ``validate_vaut`` rewrites each image and each inverse witness once: that
 rewriting decides membership and feeds both the span and the round trip.
-It runs where a germ enters: ``vaut_from_automorphism``,
-``from_two_arrow``, the witness-free branch of ``inverse`` (its witnesses
-come from a search) and documents loaded by the CLI.  It does not run after
-``compose``: the composite of two certified germs is an isomorphism
-v^-1(overlap) -> w(overlap) whose images and witnesses are compositions of
-certified maps, so it is built by the trusted ``_composed`` without a
-second check.
+It runs where a germ enters: ``vaut_from_automorphism``, ``from_two_arrow``
+on a cycle that a caller built or loaded, the witness-free branch of
+``inverse`` (its witnesses come from a search) and documents loaded by the
+CLI.  It does not run after ``compose``: the composite of two certified
+germs is an isomorphism v^-1(overlap) -> w(overlap) whose images and
+witnesses are compositions of certified maps, so it is built by the
+trusted ``_certified`` without a second check.  The cycle that
+``reduce_cycle`` returns carries that composite, out of its value, and
+``from_two_arrow`` hands it back unchecked.  ``_certified`` also builds
+``identity_vaut`` and, before its check, ``vaut_from_automorphism``: the
+words of all three are freely reduced products of reduced pieces, so their
+piece tables, and those of their inverses, reduce nothing again; a
+caller's images are reduced on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -83,14 +89,17 @@ class VirtualAutomorphism:
     codomain: Subgroup
     images: tuple[Word, ...]
     inverse_images: Optional[tuple[Word, ...]] = None
+    _reduced = False  # set by ``_certified``: every word is freely reduced
 
     @cached_property
     def _pieces(self) -> _PieceTable:
-        return _PieceTable(self.images)
+        return _PieceTable(self.images, self._reduced)
 
     @cached_property
     def _swapped(self) -> VirtualAutomorphism:  # the inverse from the witnesses
-        return VirtualAutomorphism(self.codomain, self.domain, self.inverse_images, self.images)
+        swapped = VirtualAutomorphism(self.codomain, self.domain, self.inverse_images, self.images)
+        object.__setattr__(swapped, "_reduced", self._reduced)
+        return swapped
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +206,7 @@ def validate_vaut(v: VirtualAutomorphism) -> None:
 
 def identity_vaut(sub: Subgroup) -> VirtualAutomorphism:
     gens = schreier_generators(sub)
-    return VirtualAutomorphism(sub, sub, gens, gens)
+    return _certified(sub, sub, gens, gens)
 
 
 @dataclass(frozen=True)
@@ -213,9 +222,15 @@ class TwoArrowCycle:
     beta: Subgroup
     forward: Optional[tuple[Word, ...]] = None
     backward: Optional[tuple[Word, ...]] = None
+    # The germ that ``reduce_cycle`` certified, kept out of the cycle's value.
+    _germ: Optional[VirtualAutomorphism] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def from_two_arrow(cycle: TwoArrowCycle) -> VirtualAutomorphism:
+    if cycle._germ is not None:
+        return cycle._germ
     alpha = cycle.alpha
     beta = cycle.beta
     if alpha.pres != beta.pres:
@@ -258,7 +273,7 @@ def vaut_from_automorphism(phi: Automorphism, domain: Subgroup) -> VirtualAutomo
     # A characteristic domain is its own image: share its Schreier system.
     codomain = _held(twisted_subgroup(domain, phi.inverse_images), (domain,))
     forth, back = phi._tables
-    v = VirtualAutomorphism(
+    v = _certified(
         domain, codomain, _images_along_tree(domain, forth), _images_along_tree(codomain, back)
     )
     validate_vaut(v)
@@ -362,14 +377,17 @@ def inverse(
     return out
 
 
-def _composed(
+def _certified(
     domain: Subgroup,
     codomain: Subgroup,
     images: tuple[Word, ...],
     inverse_images: tuple[Word, ...],
 ) -> VirtualAutomorphism:
-    """The composite germ of two certified ones, with no second check."""
-    return VirtualAutomorphism(domain, codomain, images, inverse_images)
+    """A germ that the library built as an isomorphism, with every image and
+    witness freely reduced: no check, and its piece tables reduce nothing."""
+    v = VirtualAutomorphism(domain, codomain, images, inverse_images)
+    object.__setattr__(v, "_reduced", True)
+    return v
 
 
 def _held(sub: Subgroup, inputs: Sequence[Subgroup]) -> Subgroup:
@@ -397,7 +415,7 @@ def compose(
     v_inv = inverse(v, cfg)
     new_codomain = _held(preimage_subgroup(w_inv, overlap), held)
     inverse_images = tuple(apply_vaut(v_inv, y) for y in _images_on(w_inv, new_codomain))
-    return _composed(new_domain, new_codomain, images, inverse_images)
+    return _certified(new_domain, new_codomain, images, inverse_images)
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +432,21 @@ class CyclePath:
         if not self.legs:
             raise ValueError("empty cycle")
         pres = self.legs[0][0].sub.pres
-        current = full_subgroup(pres)
+
+        def is_root(sub: Subgroup) -> bool:  # the one cover of index 1
+            return sub.pres == pres and sub.index == 1
+
+        current = None  # the root
         for arrow, direction in self.legs:
-            if direction == "down":
-                if arrow.super != current:
-                    raise ValueError("down-leg does not start at the current cover")
-                current = arrow.sub
-            elif direction == "up":
-                if arrow.sub != current:
-                    raise ValueError("up-leg does not start at the current cover")
-                current = arrow.super
-            else:
+            if direction not in ("down", "up"):
                 raise ValueError(f"bad direction {direction!r}")
-        if current != full_subgroup(pres):
+            start, end = arrow.super, arrow.sub
+            if direction == "up":
+                start, end = end, start
+            if not (is_root(start) if current is None else start == current):
+                raise ValueError(f"{direction}-leg does not start at the current cover")
+            current = end
+        if not is_root(current):
             raise ValueError("cycle does not close up at the root")
 
 
@@ -481,7 +501,9 @@ def reduce_cycle(
             acc = compose(prv, acc, cfg)
     else:
         raise ValueError(f"unknown reduction order {order!r}")
-    return TwoArrowCycle(acc.domain, acc.codomain, acc.images, acc.inverse_images)
+    cycle = TwoArrowCycle(acc.domain, acc.codomain, acc.images, acc.inverse_images)
+    object.__setattr__(cycle, "_germ", acc)
+    return cycle
 
 
 # ---------------------------------------------------------------------------

@@ -63,15 +63,21 @@ def _reduced_product(pieces: Iterable[Sequence[int]]) -> Word:
 
 class _PieceTable(dict):
     """A signed piece table: letter j to ``images[j-1]`` freely reduced, and
-    -j to its inverse, each made on first use."""
+    -j to its inverse, each made on first use.  With ``reduced`` the images
+    are tuples that are freely reduced already and are taken as they are."""
 
-    def __init__(self, images: Sequence[Iterable[int]]) -> None:
+    def __init__(self, images: Sequence[Iterable[int]], reduced: bool = False) -> None:
         self.images = images
+        self.reduced = reduced
 
     def __missing__(self, e: int) -> Word:
         if not 0 < abs(e) <= len(self.images):
             raise KeyError(e)
-        piece = self[e] = free_reduce(self.images[e - 1]) if e > 0 else inverse_word(self[-e])
+        if e < 0:
+            piece = inverse_word(self[-e])
+        else:
+            piece = self.images[e - 1] if self.reduced else free_reduce(self.images[e - 1])
+        self[e] = piece
         return piece
 
 

@@ -4,6 +4,7 @@ from hypothesis import settings
 from covertower import (
     Subgroup,
     SurfacePresentation,
+    free_reduce,
     homology_cover,
     low_index_subgroups,
     validate_vaut,
@@ -25,7 +26,7 @@ def pytest_configure(config):
 
 
 _TRUSTED_SUBGROUP = Subgroup.__dict__["_trusted"]
-_COMPOSED = vaut._composed
+_CERTIFIED = vaut._certified
 
 
 def _checked_subgroup(cls, pres, table):
@@ -35,7 +36,9 @@ def _checked_subgroup(cls, pres, table):
 
 
 def _checked_vaut(*fields):
-    v = _COMPOSED(*fields)
+    v = _CERTIFIED(*fields)
+    for w in (*v.images, *v.inverse_images):
+        assert free_reduce(w) == w, "a certified word is not freely reduced"
     validate_vaut(v)
     return v
 
@@ -47,15 +50,17 @@ def full_validation():
     The library builds the tables of the low-index search, of ``intersect``
     and of ``chartower.char_core_within`` (rows from
     ``cosets._flatten_rows``) with ``Subgroup._trusted`` and the germs of
-    ``compose`` with ``vaut._composed``, and checks neither.  In the tests
-    every such table goes through the full ``Subgroup`` constructor and must
-    come back unchanged (it was already canonical), and every composed germ
-    goes through ``validate_vaut``.  Session scope puts the session fixtures
-    under the same checks.
+    ``compose``, ``identity_vaut`` and ``vaut_from_automorphism`` with
+    ``vaut._certified``, and checks neither.  In the tests every such table
+    goes through the full ``Subgroup`` constructor and must come back
+    unchanged (it was already canonical), and every certified germ must have
+    freely reduced images and witnesses, since its piece tables do not
+    reduce them, and goes through ``validate_vaut``.  Session scope puts the
+    session fixtures under the same checks.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Subgroup, "_trusted", classmethod(_checked_subgroup))
-        mp.setattr(vaut, "_composed", _checked_vaut)
+        mp.setattr(vaut, "_certified", _checked_vaut)
         yield
 
 
@@ -64,7 +69,7 @@ def trusted_path(request, monkeypatch):
     """A test marked ``trusted_path`` runs the trusted builders unchecked."""
     if request.node.get_closest_marker("trusted_path"):
         monkeypatch.setattr(Subgroup, "_trusted", _TRUSTED_SUBGROUP)
-        monkeypatch.setattr(vaut, "_composed", _COMPOSED)
+        monkeypatch.setattr(vaut, "_certified", _CERTIFIED)
 
 
 @pytest.fixture(scope="session")

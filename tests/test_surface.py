@@ -54,9 +54,13 @@ UNCHECKED_CALLERS = {
         "chartower.char_core_within": "each base relator rewrites to a "
         "relator that the validated core satisfies",
     },
-    "_composed": {
+    "_certified": {
         "vaut.compose": "the composite of two certified germs, with composed "
         "images and witnesses",
+        "vaut.identity_vaut": "the Schreier generators, freely reduced, are "
+        "their own images and witnesses",
+        "vaut.vaut_from_automorphism": "reduced products of reduced pieces, "
+        "validated right after",
     },
     "_flatten_rows": {
         "chartower.char_core_within": "the core is a table over "

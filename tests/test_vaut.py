@@ -7,6 +7,7 @@ import pytest
 from coset_oracles import bfs_canonical, inverse_rows, walk
 from covertower import (
     DEFAULT_CONFIG,
+    CyclePath,
     GenericPresentation,
     IdentificationInvalid,
     IntersectionIndexOverflow,
@@ -20,6 +21,8 @@ from covertower import (
     bounded_mcl_search,
     compose,
     contains,
+    cycle_doc,
+    cycle_from_doc,
     cycle_from_subgroups,
     from_two_arrow,
     full_subgroup,
@@ -40,7 +43,7 @@ from covertower import (
     vaut_from_automorphism,
     words_equal,
 )
-from covertower import cosets, vaut
+from covertower import cosets, vaut, words
 from covertower.cosets import _flatten_rows
 from covertower.vaut import _exponent_row_mod2
 
@@ -456,6 +459,7 @@ def test_germ_equals_reads_the_images_on_its_own_domain(pres, mod4_cover, monkey
     # Both germs live on the mod-4 cover, so no Schreier generator of the
     # common domain is walked again: nothing is rewritten.
     a = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    identity = identity_vaut(mod4_cover)
     calls = []
     rewrite = cosets.rewrite_from
 
@@ -466,7 +470,7 @@ def test_germ_equals_reads_the_images_on_its_own_domain(pres, mod4_cover, monkey
     monkeypatch.setattr(cosets, "rewrite_from", counted)
     monkeypatch.setattr(vaut, "rewrite_from", counted)
     assert germ_equals(a, a)
-    assert not germ_equals(a, identity_vaut(mod4_cover))
+    assert not germ_equals(a, identity)
     assert calls == []
 
 
@@ -514,6 +518,36 @@ def test_cycle_reduction_orders_agree(pres, h1, h2):
     vr = from_two_arrow(right)
     assert germ_equals(vl, vr)
     assert germ_equals(vl, identity_vaut(vl.domain))
+
+
+def test_caller_images_are_reduced_on_first_use(h1):
+    # Only germs the library built skip the reduction of their piece tables.
+    gens = schreier_generators(h1)
+    v = VirtualAutomorphism(h1, h1, tuple(g + (1, -1) for g in gens), gens)
+    validate_vaut(v)
+    assert [v._pieces[j] for j in range(1, len(gens) + 1)] == list(gens)
+    assert germ_equals(v, identity_vaut(h1))
+
+
+def test_cycle_path_recognises_the_root_by_its_index(h1, h2, monkeypatch):
+    path = cycle_from_subgroups([h1, intersect(h1, h2), h2])
+    built = []
+    post_init = Subgroup.__post_init__
+
+    def counted(sub, *args):
+        built.append(sub)
+        post_init(sub, *args)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    path.validate()
+    assert built == []
+    legs = path.legs
+    with pytest.raises(ValueError, match="down-leg does not start"):
+        CyclePath(legs[1:]).validate()
+    with pytest.raises(ValueError, match="does not close up at the root"):
+        CyclePath(legs[:-1]).validate()
+    with pytest.raises(ValueError, match="bad direction"):
+        CyclePath(((legs[0][0], "across"),)).validate()
 
 
 def test_many_random_cycles_reduce_consistently(pres):
@@ -587,19 +621,66 @@ def test_group_law_composites_are_certified(pres, mod4_cover, monkeypatch):
         assert germ_equals(lhs, rhs)
 
 
-@pytest.mark.trusted_path
-def test_zigzag_validates_only_where_it_enters(index_two_subgroups, monkeypatch):
-    # Reducing a zigzag composes only certified germs; the two-arrow
-    # cycles are checked once each as they come back in.
+@pytest.fixture
+def zigzag(index_two_subgroups):
     a, b = index_two_subgroups[2], index_two_subgroups[5]
-    path = cycle_from_subgroups([a, intersect(a, b), b])
+    return cycle_from_subgroups([a, intersect(a, b), b])
+
+
+@pytest.mark.trusted_path
+def test_zigzag_validates_only_where_it_enters(zigzag, monkeypatch):
+    # Reducing a zigzag composes only certified germs, and each two-arrow
+    # cycle hands its certified germ to from_two_arrow: nothing is checked.
     validations = _count_validations(monkeypatch)
-    left = reduce_cycle(path, order="left")
-    right = reduce_cycle(path, order="right")
-    assert validations == []
+    left = reduce_cycle(zigzag, order="left")
+    right = reduce_cycle(zigzag, order="right")
     vl, vr = from_two_arrow(left), from_two_arrow(right)
-    assert len(validations) == 2
+    assert validations == []
+    validate_vaut(vl)
+    validate_vaut(vr)
     assert germ_equals(vl, vr)
+
+
+@pytest.mark.trusted_path
+def test_cycles_from_outside_are_validated_once(zigzag, monkeypatch):
+    reduced = reduce_cycle(zigzag, order="left")
+    germ = from_two_arrow(reduced)
+    rebuilt = TwoArrowCycle(reduced.alpha, reduced.beta, reduced.forward, reduced.backward)
+    loaded = cycle_from_doc(cycle_doc(reduced))
+    # The carried germ is not part of the cycle's value.
+    for cycle in (rebuilt, loaded):
+        assert cycle == reduced and hash(cycle) == hash(reduced)
+        assert repr(cycle) == repr(reduced)
+        assert cycle_doc(cycle) == cycle_doc(reduced)
+    assert "_germ" not in repr(reduced) and "_germ" not in cycle_doc(reduced)
+    validations = _count_validations(monkeypatch)
+    for cycle in (rebuilt, loaded):
+        before = len(validations)
+        assert from_two_arrow(cycle) == germ
+        assert len(validations) == before + 1
+    forward = list(reduced.forward)
+    forward[0], forward[1] = forward[1], forward[0]
+    forged = TwoArrowCycle(reduced.alpha, reduced.beta, tuple(forward), reduced.backward)
+    with pytest.raises(IdentificationInvalid):
+        from_two_arrow(forged)
+
+
+@pytest.mark.trusted_path
+def test_zigzag_piece_tables_reduce_nothing(zigzag, monkeypatch):
+    # Every germ of a reduction is built by the library with freely reduced
+    # words, so its piece tables take them as they are.
+    calls = []
+    reduce = words.free_reduce
+
+    def counted(w):
+        calls.append(w)
+        return reduce(w)
+
+    monkeypatch.setattr(words, "free_reduce", counted)
+    left = from_two_arrow(reduce_cycle(zigzag, order="left"))
+    right = from_two_arrow(reduce_cycle(zigzag, order="right"))
+    assert calls == []
+    assert germ_equals(left, right)
 
 
 @pytest.mark.trusted_path
