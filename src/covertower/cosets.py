@@ -2,7 +2,10 @@
 
 A subgroup H of the ambient group G is stored as the right-coset action of
 G on H\\G: ``table[c][j]`` is the coset reached from coset ``c`` by the
-(j+1)-th generator, and words act by tracing letters left to right.  The
+(j+1)-th generator.  Every walk reads one signed action, ``sub.moves``: a
+dict from each letter x in ±1..±k to a column, ``moves[x][c]`` being coset
+c moved by x, so a word acts by one lookup per letter, left to right, and
+a letter outside ±1..±k raises instead of reading another column.  The
 basepoint coset is H itself, so ``w in H`` iff tracing ``w`` from the
 basepoint returns to it.
 
@@ -34,11 +37,11 @@ walk, ``_coset_map``: H <= K iff H's cosets map equivariantly to K's with
 0 going to 0, H is normal iff its cosets map to themselves with 0 going to
 each neighbour of 0, and the maps taking 0 to each coset are then its
 deck group.  Each subgroup builds its own Schreier system once, as
-``sub.schreier``, whose ``edge_ids`` label the coset graph's edges, so
-Reidemeister rewriting never hashes or compares a table.  Rewriting
-multiplies the pieces, read from a signed table, of the Schreier generators
-that a walk crosses: the one-letter table rewrites, and a germ's image
-table rewrites and substitutes in the same walk.
+``sub.schreier``, whose signed ``edges`` name the Schreier generator that
+each move crosses, so Reidemeister rewriting never hashes or compares a
+table.  Rewriting multiplies the pieces, read from a signed table, of the
+Schreier generators that a walk crosses: the one-letter table rewrites,
+and a germ's image table rewrites and substitutes in the same walk.
 """
 
 from __future__ import annotations
@@ -100,16 +103,11 @@ class Subgroup:
         for row in table:
             if len(row) != k:
                 raise ValueError("ragged coset table")
-        for j in range(k):
-            col = [row[j] for row in table]
+        for j, col in enumerate(zip(*table), 1):
             if sorted(col) != list(range(n)):
-                raise ValueError(f"column {j + 1} is not a permutation")
-        inv = _inverse_rows(table, k)
-        rows = _orbit_rows(
-            k,
-            basepoint,
-            lambda c, x: table[c][x - 1] if x > 0 else inv[c][-x - 1],
-        )
+                raise ValueError(f"column {j} is not a permutation")
+        moves = _signed_columns(table)
+        rows = _orbit_rows(k, basepoint, lambda c, x: moves[x][c])
         if len(rows) != n:
             raise NotTransitive(
                 f"only {len(rows)} of {n} cosets reachable from basepoint"
@@ -117,14 +115,13 @@ class Subgroup:
         # Relators must act trivially from every coset; relabelling the
         # cosets does not change that, so the input table is checked.
         for r in self.pres.relators:
-            for c in range(n):
-                d = c
-                for x in r:
-                    d = table[d][x - 1] if x > 0 else inv[d][-x - 1]
+            ends = range(n)
+            for x in r:
+                col = moves[x]
+                ends = [col[d] for d in ends]
+            for c, d in enumerate(ends):
                 if d != c:
-                    raise RelatorViolated(
-                        f"relator moves coset {c} to {d}"
-                    )
+                    raise RelatorViolated(f"relator moves coset {c} to {d}")
         if rows != table:
             object.__setattr__(self, "table", rows)
 
@@ -139,8 +136,8 @@ class Subgroup:
         return sub
 
     @cached_property
-    def inverse_table(self) -> tuple[tuple[int, ...], ...]:
-        return _inverse_rows(self.table, self.pres.generator_count)
+    def moves(self) -> dict[int, tuple[int, ...]]:
+        return _signed_columns(self.table)
 
     @cached_property
     def schreier(self) -> SchreierSystem:
@@ -151,15 +148,15 @@ class Subgroup:
         return len(self.table)
 
     def act_letter(self, c: int, letter: int) -> int:
-        if letter > 0:
-            return self.table[c][letter - 1]
-        return self.inverse_table[c][-letter - 1]
+        return self.moves[letter][c]
 
     def act_word(self, c: int, w: Iterable[int]) -> int:
-        table = self.table
-        inverse_table = self.inverse_table
-        for x in w:
-            c = table[c][x - 1] if x > 0 else inverse_table[c][-x - 1]
+        moves = self.moves
+        try:
+            for x in w:
+                c = moves[x][c]
+        except KeyError:
+            raise _letter_error(moves, x) from None
         return c
 
 
@@ -168,15 +165,22 @@ def full_subgroup(pres: Presentation) -> Subgroup:
     return Subgroup(pres, ((0,) * k,))
 
 
-def _inverse_rows(
-    table: Sequence[Sequence[int]], generator_count: int
-) -> tuple[tuple[int, ...], ...]:
-    """Rows of the inverse generators of a table of permutations."""
-    inv = [[0] * generator_count for _ in table]
-    for c, row in enumerate(table):
-        for j in range(generator_count):
-            inv[row[j]][j] = c
-    return tuple(tuple(row) for row in inv)
+def _signed_columns(table: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]]:
+    """The signed action of a table of permutations: a dict from each letter
+    x in ±1..±k, in the scan order x1, x1^-1, x2, ..., to the column whose
+    entry c is coset c moved by x."""
+    moves = {}
+    points = tuple(range(len(table)))  # one int per coset, shared by every column
+    for j, col in enumerate(zip(*table), 1):
+        back = list(points)
+        for c, d in zip(points, col):
+            back[d] = c
+        moves[j], moves[-j] = col, tuple(back)
+    return moves
+
+
+def _letter_error(moves: dict[int, tuple[int, ...]], x: object) -> ValueError:
+    return ValueError(f"letter {x} out of range for {len(moves) // 2} generators")
 
 
 def _orbit_rows(
@@ -191,8 +195,8 @@ def _orbit_rows(
     letters of a generator and its inverse must act as inverse permutations
     of the orbit.  States are labelled in BFS order over the alphabet
     x1, x1^-1, x2, ..., which is the canonical order, and each row is
-    recorded as its state is walked.  Past ``max_index`` states
-    IndexOverflow is raised.
+    recorded, on the generators x1, x2, ..., as its state is walked.  Past
+    ``max_index`` states IndexOverflow is raised.
     """
     alphabet = _alphabet(generator_count)
     label = {start: 0}
@@ -208,9 +212,8 @@ def _orbit_rows(
                     raise IndexOverflow(f"orbit exceeds index cap {max_index}")
                 d = label[nxt] = len(order)
                 order.append(nxt)
-            if letter > 0:
-                row.append(d)
-        rows.append(tuple(row))
+            row.append(d)
+        rows.append(tuple(row[::2]))
     return tuple(rows)
 
 
@@ -242,7 +245,6 @@ def make_subgroup(
 
 
 def contains(sub: Subgroup, w: Iterable[int]) -> bool:
-    w = validate_word(sub.pres, w)
     return sub.act_word(0, w) == 0
 
 
@@ -255,25 +257,27 @@ def covering_genus(sub: Subgroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Schreier transversal, generators, rewriting.
+# Schreier systems, generators, rewriting.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchreierSystem:
-    """A subgroup's BFS Schreier system, as the rows that rewriting walks.
+    """A subgroup's BFS Schreier system, as the columns that rewriting walks.
 
-    ``edge_ids[c][j-1]`` is 0 if the edge from coset c along x_j is in the
-    transversal tree, else i+1 for the i-th non-tree edge in (c, j) order,
-    whose Schreier generator is ``generators[i]``, and ``transversal[c]``
-    is the tree's word to coset c.  It holds the subgroup's rows but not
-    the subgroup, so no reference cycle keeps either alive.
+    ``moves`` is the subgroup's signed action.  ``edges[x][c]`` is 0 if
+    moving coset c by x crosses an edge of the BFS tree, else the signed
+    id of the Schreier generator crossed: the edge c -> c.x_j is the
+    generator ``generators[i]`` if it is the i-th non-tree edge in (c, j)
+    order, so ``edges[j][c]`` is i+1 and ``edges[-j][c.x_j]`` is -(i+1).
+    ``tree_letters[c]`` is the letter of the tree edge entering coset c
+    (0 at the basepoint).  It holds the subgroup's action but not the
+    subgroup, so no reference cycle keeps either alive.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    inverse_table: tuple[tuple[int, ...], ...]
-    edge_ids: tuple[tuple[int, ...], ...]
+    moves: dict[int, tuple[int, ...]]
+    edges: dict[int, tuple[int, ...]]
     generators: tuple[Word, ...]
-    transversal: tuple[Word, ...]
+    tree_letters: tuple[int, ...]
 
     @cached_property
     def letters(self) -> _PieceTable:  # the piece table of plain rewriting
@@ -283,25 +287,27 @@ class SchreierSystem:
 def _schreier_system(sub: Subgroup) -> SchreierSystem:
     """Build the Schreier system of ``sub``; read it as ``sub.schreier``."""
     n = sub.index
-    k = sub.pres.generator_count
-    alphabet = _alphabet(k)
-    transversal: list[Optional[Word]] = [()] + [None] * (n - 1)
-    ids = [[-1] * k for _ in range(n)]
+    moves = sub.moves
+    paths: list[Optional[Word]] = [()] + [None] * (n - 1)  # the tree's words
+    tree = [0] * n
     for c in range(n):  # cosets are labelled in BFS order: this is the BFS
-        for letter in alphabet:
-            d = sub.act_letter(c, letter)
-            if transversal[d] is None:
-                transversal[d] = free_reduce(transversal[c] + (letter,))
-                # Mark the tree edge in positive form: c.x = d or d.x = c.
-                ids[c if letter > 0 else d][abs(letter) - 1] = 0
+        for x, col in moves.items():
+            d = col[c]
+            if paths[d] is None:
+                paths[d], tree[d] = paths[c] + (x,), x
+    # The edge c -> d = c.x_j is the tree edge into d (letter x_j) or into c
+    # (letter x_j^-1), or else it gives the next Schreier generator.
+    ids = [[0] * n for _ in range(sub.pres.generator_count)]
     gens: list[Word] = []
-    for c, row in enumerate(ids):
-        for j, d in enumerate(sub.table[c]):
-            if row[j]:
-                gens.append(free_reduce(transversal[c] + (j + 1,) + inverse_word(transversal[d])))
-                row[j] = len(gens)
-    edge_ids = tuple(tuple(row) for row in ids)
-    return SchreierSystem(sub.table, sub.inverse_table, edge_ids, tuple(gens), tuple(transversal))
+    for c, row in enumerate(sub.table):
+        for j, d in enumerate(row, 1):
+            if tree[d] != j and tree[c] != -j:
+                gens.append(free_reduce(paths[c] + (j,) + inverse_word(paths[d])))
+                ids[j - 1][c] = len(gens)
+    edges = {}
+    for j, col in enumerate(ids, 1):
+        edges[j], edges[-j] = tuple(col), tuple(-col[c] for c in moves[-j])
+    return SchreierSystem(moves, edges, tuple(gens), tuple(tree))
 
 
 def schreier_generators(sub: Subgroup) -> tuple[Word, ...]:
@@ -315,21 +321,19 @@ def rewrite_from(
     """Reidemeister rewriting of ``w`` traced from coset ``start``, in one
     walk: the reduced product of the ``pieces`` of the signed Schreier
     generators crossed, and the final coset.  Through ``system.letters``
-    the product expresses ``w`` in the Schreier generators."""
-    table, inverse_table, edge_ids = system.table, system.inverse_table, system.edge_ids
+    the product expresses ``w`` in the Schreier generators.  A letter
+    outside ±1..±k raises ValueError; a missing piece raises KeyError."""
+    moves, edges = system.moves, system.edges
     out: list[Word] = []
     c = start
     for x in w:
-        if x > 0:
-            e = edge_ids[c][x - 1]
-            if e:
-                out.append(pieces[e])
-            c = table[c][x - 1]
-        else:
-            c = inverse_table[c][-x - 1]
-            e = edge_ids[c][-x - 1]
-            if e:
-                out.append(pieces[-e])
+        try:
+            e = edges[x][c]
+        except KeyError:
+            raise _letter_error(moves, x) from None
+        if e:
+            out.append(pieces[e])
+        c = moves[x][c]
     return _reduced_product(out), c
 
 
@@ -338,7 +342,6 @@ def rewrite_in_schreier_generators(
 ) -> Word:
     """``w`` rewritten from the basepoint through ``pieces``, the Schreier
     generators' own letters by default; ValueError unless ``w`` is in ``sub``."""
-    w = validate_word(sub.pres, w)
     system = sub.schreier
     rewritten, end = rewrite_from(system, 0, w, system.letters if pieces is None else pieces)
     if end != 0:
@@ -381,11 +384,12 @@ def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subg
     if _coset_map(fine, coarse, 0) is not None:
         return fine
     # The product action of two valid tables satisfies every relator.
+    a_moves, b_moves = a.moves, b.moves
     try:
         rows = _orbit_rows(
             a.pres.generator_count,
             (0, 0),
-            lambda p, x: (a.act_letter(p[0], x), b.act_letter(p[1], x)),
+            lambda p, x: (a_moves[x][p[0]], b_moves[x][p[1]]),
             max_index,
         )
     except IndexOverflow:
@@ -421,16 +425,16 @@ def _coset_map(beta: Subgroup, alpha: Subgroup, start: int) -> Optional[list[int
     """Equivariant map of beta's cosets to alpha's sending 0 to ``start``, or
     None: it exists iff beta lies in the stabilizer of alpha's coset ``start``."""
     f = [start] + [-1] * (beta.index - 1)
-    pairs = ((beta.table, alpha.table), (beta.inverse_table, alpha.inverse_table))
+    pairs = [(col, alpha.moves[x]) for x, col in beta.moves.items()]
     # beta's cosets are labelled in BFS order, so f[c] is set before c is walked.
     for c in range(beta.index):
         e = f[c]
-        for beta_rows, alpha_rows in pairs:
-            for d, image in zip(beta_rows[c], alpha_rows[e]):
-                if f[d] < 0:
-                    f[d] = image
-                elif f[d] != image:
-                    return None
+        for beta_col, alpha_col in pairs:
+            d, image = beta_col[c], alpha_col[e]
+            if f[d] < 0:
+                f[d] = image
+            elif f[d] != image:
+                return None
     return f
 
 
@@ -473,19 +477,12 @@ def _flatten_rows(
     relator rewrites, as it does for a validated table over it.
     """
     system = outer.schreier
-    table, inverse_table, edge_ids = system.table, system.inverse_table, system.edge_ids
+    moves, edges = system.moves, system.edges
 
     def step(state: tuple[int, int], letter: int) -> tuple[int, int]:
         d, e = state
-        if letter > 0:
-            gen = edge_ids[d][letter - 1]
-            d = table[d][letter - 1]
-        else:
-            d = inverse_table[d][-letter - 1]
-            gen = -edge_ids[d][-letter - 1]
-        if gen:
-            e = act(e, gen)
-        return d, e
+        gen = edges[letter][d]
+        return moves[letter][d], act(e, gen) if gen else e
 
     return _orbit_rows(outer.pres.generator_count, (0, 0), step)
 

@@ -70,7 +70,6 @@ from .words import (
     _reduced_product,
     inverse_word,
     substitute,
-    validate_word,
     words_equal,
 )
 
@@ -112,7 +111,7 @@ def _rewritten_members(sub: Subgroup, words: Sequence[Word]) -> Optional[list[Wo
     system = sub.schreier
     out = []
     for w in words:
-        rewritten, end = rewrite_from(system, 0, validate_word(sub.pres, w), system.letters)
+        rewritten, end = rewrite_from(system, 0, w, system.letters)
         if end != 0:
             return None
         out.append(rewritten)
@@ -255,16 +254,17 @@ def from_two_arrow(cycle: TwoArrowCycle) -> VirtualAutomorphism:
 
 def _images_along_tree(sub: Subgroup, pieces: _PieceTable) -> tuple[Word, ...]:
     """Images of ``sub``'s Schreier generators t_c x t_d^-1 from three pieces
-    each, the transversal words' images built once along the BFS tree."""
+    each, the tree words' images built once, each from its parent's."""
     system, tree = sub.schreier, [()]
-    for d, t in enumerate(system.transversal[1:], 1):
-        tree.append(_reduced_product((tree[sub.act_letter(d, -t[-1])], pieces[t[-1]])))
+    moves, edges = system.moves, system.edges
+    for d, x in enumerate(system.tree_letters[1:], 1):
+        tree.append(_reduced_product((tree[moves[-x][d]], pieces[x])))
     back = [inverse_word(t) for t in tree]
     return tuple(
         _reduced_product((tree[c], pieces[j], back[d]))
-        for c, (row, ids) in enumerate(zip(system.table, system.edge_ids))
-        for j, (d, e) in enumerate(zip(row, ids), 1)
-        if e
+        for c, row in enumerate(sub.table)
+        for j, d in enumerate(row, 1)
+        if edges[j][c]
     )
 
 

@@ -30,6 +30,35 @@ def walk(rows, inv, c, w):
     return c
 
 
+def schreier_edge_ids(rows):
+    """``ids[c][j]`` for a canonical table: 0 if the edge from coset c along
+    generator j+1 is in the BFS tree from coset 0 (scanning x1, x1^-1, x2,
+    ...), else i+1 for the i-th non-tree edge in (c, j) order."""
+    k = len(rows[0])
+    inv = inverse_rows(rows)
+    tree, seen, queue = set(), {0}, deque([0])
+    while queue:
+        c = queue.popleft()
+        for letter in alphabet(k):
+            d = walk(rows, inv, c, (letter,))
+            if d not in seen:
+                seen.add(d)
+                queue.append(d)
+                # The tree edge in positive form: c.x = d, or d.x = c.
+                tree.add((c, letter - 1) if letter > 0 else (d, -letter - 1))
+    ids, count = [], 0
+    for c in range(len(rows)):
+        row = []
+        for j in range(k):
+            if (c, j) in tree:
+                row.append(0)
+            else:
+                count += 1
+                row.append(count)
+        ids.append(row)
+    return ids
+
+
 def bfs_canonical(rows, basepoint):
     """Relabel by BFS from the basepoint, then rebuild the table."""
     k = len(rows[0])

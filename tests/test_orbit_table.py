@@ -14,7 +14,14 @@ from collections import deque
 
 import pytest
 
-from coset_oracles import alphabet, bfs_canonical, homology_table, inverse_rows, walk
+from coset_oracles import (
+    alphabet,
+    bfs_canonical,
+    homology_table,
+    inverse_rows,
+    schreier_edge_ids,
+    walk,
+)
 from covertower import (
     IntersectionIndexOverflow,
     NotTransitive,
@@ -142,6 +149,21 @@ def test_canonicalize_and_conjugate_match_the_bfs_reference(pres2, index_le_thre
         w = _random_word(rng, 4, 10)
         conj = conjugate_subgroup(moved, w)
         assert conj.table == _old_conjugate_table(sub.table, base, w)
+
+
+def test_signed_columns_match_the_raw_walk(index_le_three, mod4_cover):
+    # Every letter of ±1..±4 has its column, and no other key is there, so
+    # letter 0 or 5 cannot read a column of another letter.
+    for sub in (*index_le_three, mod4_cover):
+        rows, cosets = sub.table, range(sub.index)
+        inv, ids = inverse_rows(rows), schreier_edge_ids(rows)
+        system = sub.schreier
+        assert list(sub.moves) == list(system.edges) == list(alphabet(4))
+        for x in alphabet(4):
+            assert sub.moves[x] == tuple(walk(rows, inv, c, (x,)) for c in cosets)
+        for j in range(1, 5):
+            assert system.edges[j] == tuple(ids[c][j - 1] for c in cosets)
+            assert system.edges[-j] == tuple(-ids[inv[c][j - 1]][j - 1] for c in cosets)
 
 
 def test_intersect_matches_the_bfs_reference(pres2, index_le_three):

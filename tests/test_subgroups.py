@@ -348,7 +348,7 @@ def test_schreier_system_is_built_once_per_instance(pres2, monkeypatch):
 
 def test_schreier_system_does_not_keep_its_subgroup_alive(pres2):
     sub = Subgroup(pres2, homology_cover(pres2, 2).subgroup.table)
-    system = sub.schreier
+    system, index = sub.schreier, sub.index
     ref = weakref.ref(sub)
     gc.disable()
     try:
@@ -356,7 +356,7 @@ def test_schreier_system_does_not_keep_its_subgroup_alive(pres2):
         assert ref() is None  # freed by refcount: no sub -> system -> sub cycle
     finally:
         gc.enable()
-    assert len(system.generators) == len(system.table) * 3 + 1
+    assert len(system.generators) == index * 3 + 1
 
 
 def test_factor_through(pres2, index_two_subgroups):
@@ -414,6 +414,21 @@ def test_twisted_by_generators_is_identity(index_two_subgroups):
     sub = index_two_subgroups[0]
     words = tuple((j,) for j in range(1, 5))
     assert twisted_subgroup(sub, words) == sub
+
+
+@pytest.mark.parametrize("bad", [0, 5, -5])
+def test_letters_out_of_range_raise_instead_of_acting(index_two_subgroups, bad):
+    # Letter 0 used to act as x4^-1, and 5 or -5 raised IndexError.
+    sub = index_two_subgroups[1]
+    message = f"letter {bad} out of range for 4 generators"
+    with pytest.raises(ValueError, match=message):
+        twisted_subgroup(sub, [(1,), (2,), (3,), (bad,)])
+    with pytest.raises(ValueError, match=message):
+        sub.act_word(0, (1, bad))
+    with pytest.raises(ValueError, match=message):
+        contains(sub, (bad,))
+    with pytest.raises(ValueError, match=message):
+        rewrite_in_schreier_generators(sub, (bad, -bad))
 
 
 def test_constructions_validate_once(pres2, monkeypatch):

@@ -43,7 +43,7 @@ from covertower import (
     vaut_from_automorphism,
     words_equal,
 )
-from covertower import cosets, vaut, words
+from covertower import chartower, cosets, vaut, words
 from covertower.cosets import _flatten_rows
 from covertower.vaut import _exponent_row_mod2
 
@@ -224,6 +224,25 @@ def test_one_validation_rewrites_each_image_and_witness_once(pres, mod4_cover, m
     assert calls == 256 + 2 * 769
 
 
+def test_round_trip_validates_no_word(pres, mod4_cover, monkeypatch):
+    # A composite walks words that the library built: an out-of-range letter
+    # fails in the walk itself, so no word is checked before it is walked.
+    a = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    calls = 0
+    validate = words.validate_word
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return validate(*args)
+
+    for module in (words, cosets, vaut, chartower):
+        monkeypatch.setattr(module, "validate_word", counted, raising=False)
+    out = compose(a, inverse(a))
+    assert calls == 0
+    assert germ_equals(out, identity_vaut(mod4_cover))
+
+
 def test_from_two_arrow_identity_fill(pres, h1, h2):
     same = from_two_arrow(TwoArrowCycle(h1, h1))
     assert germ_equals(same, identity_vaut(h1))
@@ -359,6 +378,23 @@ def test_preimage_walks_only_the_basepoint_orbit(pres, mod4_cover, monkeypatch):
     assert preimage_subgroup(v, v.codomain) == mod4_cover
     assert mod4_cover.index == 256
     assert calls == len(v.images)
+
+
+def test_preimage_of_a_letter_out_of_range_raises(h1, h2):
+    # Letter 0 used to act as x4^-1 on the target's cosets.
+    v = identity_vaut(h1)
+    bad = dataclasses.replace(v, images=((0, *v.images[0]), *v.images[1:]))
+    with pytest.raises(ValueError, match="letter 0 out of range for 4 generators"):
+        preimage_subgroup(bad, h2)
+
+
+def test_a_missing_piece_is_not_reported_as_a_bad_letter(h1):
+    # The walk crosses the last Schreier generator, which has no image.
+    v = identity_vaut(h1)
+    short = dataclasses.replace(v, images=v.images[:-1])
+    with pytest.raises(KeyError) as excinfo:
+        apply_vaut(short, schreier_generators(h1)[-1])
+    assert excinfo.value.args == (len(v.images),)
 
 
 def test_preimage_builds_no_reidemeister_schreier_presentation(pres, h1, h2, monkeypatch):
