@@ -17,6 +17,12 @@ are normalized with one gcd.  The public constructors and the
 ``mobius_from_*`` functions validate their input; matrices and points this
 module computes from validated values are built without validating them
 again.
+
+A validated coordinate is a ``Fraction`` or a finite ``float``, so a point
+is exact iff neither coordinate is a float: exactness is read from the
+concrete type, with no check against the numeric ABCs, and a point with
+one float coordinate takes the float path.  Points and Mobius maps are
+slotted frozen dataclasses, with no per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from .errors import NotAnIsomorphism, SingularMatrix
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 Scalar = Union[Fraction, float]
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -103,7 +112,7 @@ def hnf(entries: Sequence[Sequence[int]]) -> SublatticeMatrix:
     return SublatticeMatrix(((p, q), (0, s)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalMobius:
     """Element of the orientation-preserving rational Mobius group.
 
@@ -140,8 +149,8 @@ def _mobius(a: int, b: int, c: int, d: int) -> RationalMobius:
     g = gcd(a, b, c, d)
     if a < 0 or (a == 0 and b < 0):
         g = -g
-    m = object.__new__(RationalMobius)
-    object.__setattr__(m, "entries", ((a // g, b // g), (c // g, d // g)))
+    m = _new(RationalMobius)
+    _set(m, "entries", ((a // g, b // g), (c // g, d // g)))
     return m
 
 
@@ -215,32 +224,42 @@ def vaut_as_matrix(
     return _mobius(p, q, r, s)
 
 
-@dataclass(frozen=True)
+def _coordinate(value) -> Scalar:
+    """A finite float or a Fraction as it is, an int as a Fraction."""
+    if isinstance(value, float):
+        if not -inf < value < inf:
+            raise ValueError("coordinates must be finite")
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if not isinstance(value, Fraction):
+        raise ValueError("coordinates must be rational or float")
+    return value
+
+
+@dataclass(frozen=True, slots=True)
 class UpperHalfPoint:
-    """Point of the upper half-plane; exact when both parts are Fractions."""
+    """Point of the upper half-plane; exact when neither part is a float."""
 
     real: Scalar
     imag: Scalar
 
     def __post_init__(self) -> None:
-        for field in ("real", "imag"):
-            value = getattr(self, field)
-            if isinstance(value, int):
-                object.__setattr__(self, field, Fraction(value))
-            elif isinstance(value, float):
-                if not -inf < value < inf:
-                    raise ValueError("coordinates must be finite")
-            elif not isinstance(value, Fraction):
-                raise ValueError("coordinates must be rational or float")
-        if not self.imag > 0:
+        real, imag = self.real, self.imag
+        x, y = _coordinate(real), _coordinate(imag)
+        if not y > 0:
             raise ValueError("imaginary part must be positive")
+        if x is not real:
+            _set(self, "real", x)
+        if y is not imag:
+            _set(self, "imag", y)
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.real, Fraction) and isinstance(self.imag, Fraction)
+        return not (isinstance(self.real, float) or isinstance(self.imag, float))
 
     def as_complex(self) -> complex:
-        return complex(float(self.real), float(self.imag))
+        return complex(self.real, self.imag)
 
 
 def _point(real: Scalar, imag: Scalar) -> UpperHalfPoint:
@@ -248,9 +267,9 @@ def _point(real: Scalar, imag: Scalar) -> UpperHalfPoint:
 
     The caller guarantees both, so the validator is not run again.
     """
-    p = object.__new__(UpperHalfPoint)
-    object.__setattr__(p, "real", real)
-    object.__setattr__(p, "imag", imag)
+    p = _new(UpperHalfPoint)
+    _set(p, "real", real)
+    _set(p, "imag", imag)
     return p
 
 
@@ -266,9 +285,10 @@ def act(m: RationalMobius, tau: UpperHalfPoint) -> UpperHalfPoint:
     D = u^2*s^2 + c^2*q^2*r^2, so each coordinate is reduced once.
     """
     (a, b), (c, d) = m.entries
-    if tau.exact:
-        p, q = tau.real.numerator, tau.real.denominator
-        r, s = tau.imag.numerator, tau.imag.denominator
+    x, y = tau.real, tau.imag
+    if not (isinstance(x, float) or isinstance(y, float)):
+        p, q = x.numerator, x.denominator
+        r, s = y.numerator, y.denominator
         u, v = c * p + d * q, a * p + b * q
         qr, ss = q * r, s * s
         cqr = c * qr
@@ -277,7 +297,7 @@ def act(m: RationalMobius, tau: UpperHalfPoint) -> UpperHalfPoint:
             Fraction(u * v * ss + a * cqr * qr, den),
             Fraction((a * d - b * c) * qr * q * s, den),
         )
-    z = tau.as_complex()
+    z = complex(x, y)
     w = (a * z + b) / (c * z + d)
     if not w.imag > 0:
         # Float underflow can put an image on the real axis.

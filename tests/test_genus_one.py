@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -340,6 +343,67 @@ def test_exact_act_matches_fraction_oracle():
         image = act(m, UpperHalfPoint(x, y))
         assert image.exact
         assert (image.real, image.imag) == _act_oracle(m.entries, x, y)
+
+
+def _float_act_reference(entries, x, y):
+    """The float image as computed before exactness was read from the type."""
+    (a, b), (c, d) = entries
+    z = complex(float(x), float(y))
+    return (a * z + b) / (c * z + d)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_act_values_did_not_move():
+    # Exact, float and mixed points: a point with one float coordinate is
+    # a float point, and its image is the reference's to the last bit.
+    rng = random.Random(67)
+    mats = _seeded_mobius(rng, 30, 9)
+    for _ in range(400):
+        m = rng.choice(mats)
+        x = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        y = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        fx, fy = rng.uniform(-5, 5), rng.uniform(0.1, 5.0)
+        tau = UpperHalfPoint(x, y)
+        image = act(m, tau)
+        assert tau.exact and image.exact
+        assert type(image.real) is type(image.imag) is Fraction
+        assert (image.real, image.imag) == _act_oracle(m.entries, x, y)
+        for real, imag in ((fx, fy), (float(x), float(y)), (x, fy), (fx, y)):
+            tau = UpperHalfPoint(real, imag)
+            assert not tau.exact
+            assert _bits(tau.as_complex()) == _bits(complex(float(real), float(imag)))
+            image = act(m, tau)
+            assert not image.exact
+            assert type(image.real) is type(image.imag) is float
+            want = _float_act_reference(m.entries, real, imag)
+            assert _bits(complex(image.real, image.imag)) == _bits(want)
+
+
+def test_points_and_maps_are_slotted_frozen_values():
+    m = mobius_from_integer_matrix([[2, -3], [1, 4]])
+    points = (
+        UpperHalfPoint(Fraction(-7, 3), Fraction(5, 2)),
+        UpperHalfPoint(-1.3, 0.7),
+        UpperHalfPoint(Fraction(1, 3), 0.5),
+    )
+    for value in (m, compose_mobius(m, m), *points, act(m, points[0])):
+        assert not hasattr(value, "__dict__")
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert twin == value and hash(twin) == hash(value)
+    # Values built without the validator equal and hash like public ones.
+    product = compose_mobius(m, m)
+    public = RationalMobius(product.entries)
+    assert product == public and hash(product) == hash(public)
+    for tau in points:
+        image = act(m, tau)
+        public = UpperHalfPoint(image.real, image.imag)
+        assert image == public and hash(image) == hash(public)
 
 
 def _assert_valid_mobius(m):
