@@ -259,7 +259,7 @@ class UpperHalfPoint:
         return not (isinstance(self.real, float) or isinstance(self.imag, float))
 
     def as_complex(self) -> complex:
-        return complex(self.real, self.imag)
+        return complex(float(self.real), float(self.imag))
 
 
 def _point(real: Scalar, imag: Scalar) -> UpperHalfPoint:

@@ -10,31 +10,33 @@ A germ keeps its images as a signed table, each reduced once, so applying
 it is one ``rewrite_from`` walk that rewrites and substitutes.  On its own
 domain ``compose`` and ``germ_equals`` read the table with no walk.
 
-Verification of "the images generate the codomain" is exact and needs no
-coset enumeration from generator sets: the image subgroup M of a
-homomorphism from a genus-h surface group is either of finite index in the
-codomain K or free of rank at most h (a free quotient of a closed surface
-group has rank at most half its first Betti number, by the isotropy of the
-pulled-back cup product).  If the images span a subspace of H_1(K, Z/2) of
-dimension at least h+1, the free case is excluded, finite index forces
-M = K by comparing first Betti numbers, and Hopficity upgrades the map to
-an isomorphism.
+Domain and codomain have equal index, so they are surface groups of one
+genus h, and surface groups are Hopfian (Mal'cev, 1940): a homomorphism of
+one onto the other is an isomorphism.  If the images satisfy the rewritten
+relators and lie in the codomain K, v is a homomorphism into K; inverse
+witnesses with v(w_t) = t for each Schreier generator t of K make it onto,
+and then each w_t is v^-1(t).  Without witnesses, generation is certified
+with no coset enumeration: the image M of a genus-h surface group is of
+finite index in K or free of rank at most h (a free quotient of a closed
+surface group has rank at most half its first Betti number, by the
+isotropy of the pulled-back cup product).  Images spanning at least h+1
+dimensions of H_1(K, Z/2) exclude the free case, and finite index forces
+M = K by comparing first Betti numbers.
 
-``validate_vaut`` rewrites each image and each inverse witness once: that
-rewriting decides membership and feeds both the span and the round trip.
-It runs where a germ enters: ``vaut_from_automorphism``, ``from_two_arrow``
-on a cycle that a caller built or loaded, the witness-free branch of
-``inverse`` (its witnesses come from a search) and documents loaded by the
-CLI.  It does not run after ``compose``: the composite of two certified
-germs is an isomorphism v^-1(overlap) -> w(overlap) whose images and
-witnesses are compositions of certified maps, so it is built by the
-trusted ``_certified`` without a second check.  The cycle that
-``reduce_cycle`` returns carries that composite, out of its value, and
-``from_two_arrow`` hands it back unchecked.  ``_certified`` also builds
-``identity_vaut`` and, before its check, ``vaut_from_automorphism``: the
-words of all three are freely reduced products of reduced pieces, so their
-piece tables, and those of their inverses, reduce nothing again; a
-caller's images are reduced on first use.
+``validate_vaut`` rewrites each image and each witness once, for
+membership and for the round trip or the span.  It runs where a germ from
+outside enters: ``from_two_arrow`` on a cycle that a caller built or
+loaded, the witness-free branch of ``inverse`` (its witnesses come from a
+search) and documents loaded by the CLI.  The germs the library builds go
+through the trusted ``_certified`` unchecked: ``identity_vaut``,
+``vaut_from_automorphism`` (a checked ``Automorphism`` and its inverse
+along the BFS trees of the domain and of a fully constructed codomain) and
+``compose`` (the isomorphism v^-1(overlap) -> w(overlap) composed from
+certified maps).  The cycle that ``reduce_cycle`` returns carries its
+composite, out of its value, and ``from_two_arrow`` hands it back.  Their
+words are freely reduced products of reduced pieces, so their piece
+tables, and those of their inverses, reduce nothing again; a caller's
+images are reduced on first use.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import (
     CoveringArrow,
     Subgroup,
+    contains,
     factor_through,
     full_subgroup,
     intersect,
@@ -153,10 +156,10 @@ def _images_on(v: VirtualAutomorphism, sub: Subgroup) -> Iterator[Word]:
 
 
 def validate_vaut(v: VirtualAutomorphism) -> None:
-    """Raise IdentificationInvalid unless v is a certified isomorphism.
-
-    Words are compared in the base surface group, so the domain must live
-    over a ``SurfacePresentation`` (ValueError otherwise).
+    """Raise IdentificationInvalid unless v is a certified isomorphism: by
+    the relators and the round trip v(w_t) = t, or without witnesses by the
+    span.  Words are compared in the base surface group, so the domain must
+    live over a ``SurfacePresentation`` (ValueError otherwise).
     """
     base = v.domain.pres
     if not isinstance(base, SurfacePresentation):
@@ -169,8 +172,7 @@ def validate_vaut(v: VirtualAutomorphism) -> None:
         raise IdentificationInvalid(
             f"index mismatch: {dom.index} vs {cod.index}"
         )
-    gens = schreier_generators(dom)
-    if len(v.images) != len(gens):
+    if len(v.images) != len(schreier_generators(dom)):
         raise IdentificationInvalid("one image per domain Schreier generator required")
     images = _rewritten_members(cod, v.images)
     if images is None:
@@ -179,24 +181,20 @@ def validate_vaut(v: VirtualAutomorphism) -> None:
     for r in rs.relators:
         if not words_equal(base, substitute(v._pieces, r), ()):
             raise IdentificationInvalid("images violate a rewritten relator")
-    cod_rs = rs if cod.table == dom.table else reidemeister_schreier(cod)
-    if not _generation_certified(cod_rs, images):
-        raise IdentificationInvalid("images are not certified to generate the codomain")
-    if v.inverse_images is not None:
-        cogens = schreier_generators(cod)
-        if len(v.inverse_images) != len(cogens):
-            raise IdentificationInvalid("one witness per codomain Schreier generator")
-        witnesses = _rewritten_members(dom, v.inverse_images)
-        if witnesses is None:
-            raise IdentificationInvalid("an inverse witness leaves the domain")
-        # The i-th Schreier generator rewrites to the letter i+1, so v sends
-        # gens[i] to v.images[i], whose rewriting in cod is images[i].
-        for s, w in zip(gens, images):
-            if not words_equal(base, substitute(v._swapped._pieces, w), s):
-                raise IdentificationInvalid("inverse witnesses do not undo the map")
-        for t, w in zip(cogens, witnesses):
-            if not words_equal(base, substitute(v._pieces, w), t):
-                raise IdentificationInvalid("the map does not undo its inverse witnesses")
+    if v.inverse_images is None:
+        cod_rs = rs if cod.table == dom.table else reidemeister_schreier(cod)
+        if not _generation_certified(cod_rs, images):
+            raise IdentificationInvalid("images are not certified to generate the codomain")
+        return
+    cogens = schreier_generators(cod)
+    if len(v.inverse_images) != len(cogens):
+        raise IdentificationInvalid("one witness per codomain Schreier generator")
+    witnesses = _rewritten_members(dom, v.inverse_images)
+    if witnesses is None:
+        raise IdentificationInvalid("an inverse witness leaves the domain")
+    for t, w in zip(cogens, witnesses):
+        if not words_equal(base, substitute(v._pieces, w), t):
+            raise IdentificationInvalid("the map does not undo its inverse witnesses")
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +271,9 @@ def vaut_from_automorphism(phi: Automorphism, domain: Subgroup) -> VirtualAutomo
     # A characteristic domain is its own image: share its Schreier system.
     codomain = _held(twisted_subgroup(domain, phi.inverse_images), (domain,))
     forth, back = phi._tables
-    v = _certified(
+    return _certified(
         domain, codomain, _images_along_tree(domain, forth), _images_along_tree(codomain, back)
     )
-    validate_vaut(v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +511,16 @@ def is_mcl_witness(v: VirtualAutomorphism, candidate: Subgroup) -> bool:
 
     The candidate must be contained in the domain for the restriction to
     exist; otherwise this representative does not witness anything and the
-    answer is False.
+    answer is False.  v must be a validated germ, as every constructor and
+    every CLI load returns: an isomorphism keeps the candidate's index, so
+    v(candidate) <= candidate already forces equality, and one membership
+    walk per image decides it.
     """
     if candidate.pres != v.domain.pres:
         return False
     if not is_subgroup_of(candidate, v.domain):
         return False
-    images = _rewritten_members(candidate, list(_images_on(v, candidate)))
-    return images is not None and _generation_certified(
-        reidemeister_schreier(candidate), images
-    )
+    return all(contains(candidate, w) for w in _images_on(v, candidate))
 
 
 def bounded_mcl_search(

@@ -19,7 +19,6 @@ import covertower
 ENTRY_POINTS = {
     # cosets: the constructions that the package's own pipelines do not call.
     "conjugate_subgroup": "cosets: conjugate subgroups",
-    "contains": "cosets: membership of a word, the question a coset table answers",
     "deck_group": "cosets: deck group of a normal cover",
     "make_subgroup": "trust boundary: a coset table from caller-supplied permutations",
     # chartower: certificates, relative cores and edge tags.
@@ -59,8 +58,9 @@ UNCHECKED_CALLERS = {
         "images and witnesses",
         "vaut.identity_vaut": "the Schreier generators, freely reduced, are "
         "their own images and witnesses",
-        "vaut.vaut_from_automorphism": "reduced products of reduced pieces, "
-        "validated right after",
+        "vaut.vaut_from_automorphism": "a checked Automorphism and its inverse "
+        "along the BFS trees of the domain and of a fully constructed codomain, "
+        "reduced products of reduced pieces",
     },
     "_flatten_rows": {
         "chartower.char_core_within": "the core is a table over "

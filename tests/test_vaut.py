@@ -104,8 +104,7 @@ def _free_group_germ():
 
 
 # One corruption of an identity germ per check of validate_vaut, in the
-# order the checks run.  The last check, "the map does not undo its inverse
-# witnesses", is not listed: no corruption found passes the check before it.
+# order the checks run.  Only a germ without witnesses reaches the span.
 CORRUPTIONS = [
     pytest.param(
         lambda v, h2: _free_group_germ(),
@@ -156,7 +155,9 @@ CORRUPTIONS = [
         id="relator",
     ),
     pytest.param(
-        lambda v, h2: dataclasses.replace(v, images=((),) * len(v.images)),
+        lambda v, h2: dataclasses.replace(
+            v, images=((),) * len(v.images), inverse_images=None
+        ),
         IdentificationInvalid,
         "images are not certified to generate the codomain",
         id="generation",
@@ -188,7 +189,7 @@ CORRUPTIONS = [
             v, inverse_images=_swap_first_two(v.inverse_images)
         ),
         IdentificationInvalid,
-        "inverse witnesses do not undo the map",
+        "the map does not undo its inverse witnesses",
         id="back",
     ),
 ]
@@ -200,6 +201,112 @@ def test_each_validation_check_names_its_failure(h1, h2, corrupt, error, message
         validate_vaut(corrupt(identity_vaut(h1), h2))
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+def _reference_validate(v):
+    """Acceptance by the validator before one round trip sufficed: the span
+    test on every germ, then both round trips (v^-1(v(s)) = s as well as
+    v(w_t) = t) on a germ with witnesses."""
+    base, dom, cod = v.domain.pres, v.domain, v.codomain
+    gens = schreier_generators(dom)
+    if dom.pres != cod.pres or dom.index != cod.index or len(v.images) != len(gens):
+        return False
+    images = vaut._rewritten_members(cod, v.images)
+    if images is None:
+        return False
+    for r in reidemeister_schreier(dom).relators:
+        if not words_equal(base, words.substitute(v._pieces, r), ()):
+            return False
+    if not vaut._generation_certified(reidemeister_schreier(cod), images):
+        return False
+    if v.inverse_images is None:
+        return True
+    cogens = schreier_generators(cod)
+    if len(v.inverse_images) != len(cogens):
+        return False
+    witnesses = vaut._rewritten_members(dom, v.inverse_images)
+    if witnesses is None:
+        return False
+    back = v._swapped._pieces
+    return all(
+        words_equal(base, words.substitute(back, w), s) for s, w in zip(gens, images)
+    ) and all(
+        words_equal(base, words.substitute(v._pieces, w), t)
+        for t, w in zip(cogens, witnesses)
+    )
+
+
+def _corrupted(rng, v):
+    """One or two seeded corruptions of v's images or witnesses that keep
+    the counts: two entries swapped, one repeated, one lengthened by the
+    base relator (the same element) or by another entry, every image
+    trivial, or the witnesses stripped."""
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.choice(["swap", "repeat", "relator", "product", "trivial", "strip"])
+        if kind == "strip":
+            v = dataclasses.replace(v, inverse_images=None)
+            continue
+        if kind == "trivial":
+            v = dataclasses.replace(v, images=((),) * len(v.images))
+            continue
+        field = rng.choice(["images", "inverse_images"][: 1 + (v.inverse_images is not None)])
+        entries = list(getattr(v, field))
+        i, j = rng.sample(range(len(entries)), 2)
+        if kind == "swap":
+            entries[i], entries[j] = entries[j], entries[i]
+        elif kind == "repeat":
+            entries[j] = entries[i]
+        else:
+            entries[i] += v.domain.pres.relator if kind == "relator" else entries[j]
+        v = dataclasses.replace(v, **{field: tuple(entries)})
+    return v
+
+
+def _accepted(v):
+    try:
+        validate_vaut(v)
+    except IdentificationInvalid:
+        return False
+    return True
+
+
+def test_one_round_trip_accepts_what_the_span_and_both_round_trips_accept(
+    pres, index_two_subgroups, mod4_cover
+):
+    rng = random.Random(41)
+    germs = []
+    for sub, inner, corruptions in [
+        *((h, (2,), 4) for h in index_two_subgroups),
+        (mod4_cover, (2, -3), 6),
+    ]:
+        a = vaut_from_automorphism(handle_swap(pres), sub)
+        b = vaut_from_automorphism(inner_automorphism(pres, inner), sub)
+        for v in (identity_vaut(sub), a, b):
+            germs.append(v)
+            germs.extend(_corrupted(rng, v) for _ in range(corruptions))
+    verdicts = []
+    for v in germs:
+        verdicts.append(_accepted(v))
+        assert verdicts[-1] == _reference_validate(v)
+    # Both verdicts occur with witnesses and without them.
+    seen = {(v.inverse_images is None, ok) for v, ok in zip(germs, verdicts)}
+    assert len(seen) == 4
+
+
+def test_germs_with_witnesses_never_reach_the_span_test(pres, h1, mod4_cover, monkeypatch):
+    a = vaut_from_automorphism(handle_swap(pres), mod4_cover)
+    b = vaut_from_automorphism(inner_automorphism(pres, (1, 4)), h1)
+    germs = [a, b, identity_vaut(h1), inverse(a), compose(a, inverse(a))]
+
+    def refuse(*args):
+        raise AssertionError("span test reached")
+
+    monkeypatch.setattr(vaut, "_generation_certified", refuse)
+    for v in germs:
+        validate_vaut(v)
+    stripped = dataclasses.replace(identity_vaut(h1), inverse_images=None)
+    with pytest.raises(AssertionError, match="span test reached"):
+        validate_vaut(stripped)
 
 
 def test_one_validation_rewrites_each_image_and_witness_once(pres, mod4_cover, monkeypatch):
@@ -618,6 +725,67 @@ def test_caut_witness(pres, h1, mod4_cover):
         assert is_mcl_witness(v, cover)
 
 
+@pytest.fixture(scope="module")
+def index_four_in_h1(pres, h1):
+    """The subgroups of index <= 4 inside h1: h1 and its 63 of index 2."""
+    from covertower import low_index_subgroups
+
+    return [s for s in low_index_subgroups(pres, 4) if is_subgroup_of(s, h1)]
+
+
+def test_mcl_witness_refuses_a_subgroup_that_the_swap_moves(pres, h1, index_four_in_h1):
+    v = vaut_from_automorphism(handle_swap(pres), h1)
+    # The swap sends h1 onto its codomain, another subgroup.
+    assert v.codomain != h1
+    assert not is_mcl_witness(v, h1)
+    # An index-4 candidate inside h1 goes to another one of the same index:
+    # its preimage under the inverse germ is its image.
+    moved = [c for c in index_four_in_h1 if not is_mcl_witness(v, c)]
+    assert moved
+    for c in moved[:4]:
+        image = preimage_subgroup(inverse(v), c)
+        assert image.index == c.index and image != c
+
+
+def _reference_mcl_witness(v, candidate):
+    """The span-based rule: the images of the candidate's Schreier
+    generators lie in it and are certified to generate it."""
+    if not is_subgroup_of(candidate, v.domain):
+        return False
+    images = vaut._rewritten_members(candidate, list(vaut._images_on(v, candidate)))
+    return images is not None and vaut._generation_certified(
+        reidemeister_schreier(candidate), images
+    )
+
+
+def test_mcl_witness_agrees_with_the_span_on_every_small_candidate(pres, h1, index_four_in_h1):
+    assert len(index_four_in_h1) == 64
+    answers = set()
+    for phi in (handle_swap(pres), inner_automorphism(pres, (4,)), inner_automorphism(pres, (1, 4))):
+        v = vaut_from_automorphism(phi, h1)
+        for c in index_four_in_h1:
+            answer = is_mcl_witness(v, c)
+            assert answer == _reference_mcl_witness(v, c)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_mcl_witness_builds_no_presentation(pres, h1, mod4_cover, monkeypatch):
+    v = vaut_from_automorphism(handle_swap(pres), h1)
+    k2 = homology_cover(pres, 2).subgroup
+
+    def refuse(sub):
+        raise AssertionError("presentation built")
+
+    monkeypatch.setattr(cosets, "reidemeister_schreier", refuse)
+    monkeypatch.setattr(vaut, "reidemeister_schreier", refuse)
+    for cover in (k2, mod4_cover):
+        assert is_mcl_witness(v, cover)
+    assert not is_mcl_witness(v, h1)
+    found = bounded_mcl_search(v, 4)
+    assert found is not None and is_mcl_witness(v, found)
+
+
 
 def _count_validations(monkeypatch):
     calls = []
@@ -633,9 +801,9 @@ def _count_validations(monkeypatch):
 
 @pytest.mark.trusted_path
 def test_group_law_composites_are_certified(pres, mod4_cover, monkeypatch):
-    # The vaut-laws cases: only the three restrictions of ambient
-    # automorphisms are validated where they enter; every composite is an
-    # isomorphism by construction, which validate_vaut confirms here.
+    # The vaut-laws cases: the three restrictions of ambient automorphisms
+    # and every composite are isomorphisms by construction, so nothing is
+    # validated; validate_vaut confirms them here.
     validations = _count_validations(monkeypatch)
     a = vaut_from_automorphism(handle_swap(pres), mod4_cover)
     b = vaut_from_automorphism(inner_automorphism(pres, (2, -3)), a.codomain)
@@ -649,8 +817,8 @@ def test_group_law_composites_are_certified(pres, mod4_cover, monkeypatch):
     bc = compose(b, c)
     ab = compose(a, b)
     laws.append((compose(ab, c), compose(a, bc)))
-    assert len(validations) == 3
-    for composite in (ab, bc, *(lhs for lhs, _ in laws), laws[-1][1]):
+    assert validations == []
+    for composite in (a, b, c, ab, bc, *(lhs for lhs, _ in laws), laws[-1][1]):
         validate_vaut(composite)
         assert composite.domain.index == 256
     for lhs, rhs in laws:
