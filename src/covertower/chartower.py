@@ -33,8 +33,10 @@ from .cosets import (
     is_subgroup_of,
     restrict_to_cover,
     twisted_subgroup,
+    _check_relators,
     _flatten_rows,
     _orbit_rows,
+    _signed_columns,
 )
 from .enumerate import _each_subgroup, low_index_subgroups
 from .errors import (
@@ -193,7 +195,20 @@ def _abelian_kernel(pres: Presentation, n: int, cap: int) -> tuple[int, Optional
             c += s * p if c // p % m < m - s else (s - m) * p
         return c
 
-    return index, Subgroup(pres, _orbit_rows(k, 0, step))
+    # The orbit's rows are canonical and transitive by construction; the
+    # relators are the check on the diagonal form.  Their columns are not
+    # kept: holding them until first use raises peak memory.
+    rows = _orbit_rows(k, 0, step)
+    _check_relators(pres, _signed_columns(rows), index)
+    return index, Subgroup._trusted(pres, rows)
+
+
+def _search_refused(n: int, cfg: RunConfig) -> Optional[BudgetExceeded]:
+    """The refusal of a core search over Sym(n) that no bound is reached
+    for: the low-index search's own cap, read before any table is built."""
+    if n > max(2, cfg.max_index):
+        return BudgetExceeded(f"max_index {n} above configured cap {cfg.max_index}")
+    return None
 
 
 def _kernel_core(pres: Presentation, n: int, cfg: RunConfig) -> Subgroup:
@@ -204,8 +219,9 @@ def _kernel_core(pres: Presentation, n: int, cfg: RunConfig) -> Subgroup:
     kernel over the cap refuses with no search, else each subgroup of index
     <= n (a point stabilizer of such a map) cuts it."""
     cap = cfg.max_result_index
-    if n > max(2, cfg.max_index):  # the search's own refusal, before any bound
-        raise BudgetExceeded(f"max_index {n} above configured cap {cfg.max_index}")
+    refusal = _search_refused(n, cfg)
+    if refusal:
+        raise refusal
     L = lcm(*range(1, n + 1))
     # No elimination: a relator lowers the rank by one at most (shown as a power: it may be huge).
     e = max(pres.generator_count - len(pres.relators), 0)
@@ -324,11 +340,15 @@ def char_core_within(
     config: Optional[RunConfig] = None,
 ) -> RelativeCharSubgroup:
     """char_core of ``inner`` computed inside the cover group of ``ambient``."""
+    cfg = config or DEFAULT_CONFIG
     arrow = factor_through(inner, _subgroup_of(ambient))
     if arrow is None:
         raise InconsistentInput("inner subgroup is not contained in the ambient cover")
+    refusal = _search_refused(arrow.relative_degree, cfg)
+    if refusal:  # before the relative table is built
+        raise refusal
     rel = restrict_to_cover(arrow)
-    core = _kernel_core(rel.pres, rel.index, config or DEFAULT_CONFIG)
+    core = _kernel_core(rel.pres, rel.index, cfg)
     assert is_subgroup_of(core, rel)
     assert is_normal(core)
     # ``core`` is a validated table over ``rel.pres``, the cover's
@@ -355,7 +375,11 @@ def char_order(
     "no" is returned when the factorization fails outright or the relative
     cover is not even normal; a completed relative core equal to the
     relative cover gives "yes"; anything undecided under budget stays
-    "unknown".
+    "unknown".  A beta with a constructive certificate is normal in G, so
+    in alpha: over the base it is "yes", and past the core search's cap
+    (relative index above max(2, ``max_index``)) it is "unknown" with no
+    relative table and no normality walk.  Any other beta past the cap is
+    restricted and walked, so a relative cover that is not normal is "no".
     """
     arrow = factor_through(_subgroup_of(beta), _subgroup_of(alpha))
     return "no" if arrow is None else _arrow_tag(beta, arrow, config or DEFAULT_CONFIG)
@@ -371,6 +395,10 @@ def _arrow_tag(
     certified = isinstance(beta, CharSubgroup) and beta.certificate.kind in _CONSTRUCTIVE_KINDS
     if a.index == 1 and certified:
         return "yes"
+    # A certified b is normal in G, so in a: past the core search's cap
+    # nothing is left to decide.
+    if certified and _search_refused(arrow.relative_degree, cfg):
+        return "unknown"
     # The relative cover as a subgroup of the cover group of ``a``.
     rel = b if a.index == 1 else restrict_to_cover(arrow)
     if not is_normal(rel):

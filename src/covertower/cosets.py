@@ -17,12 +17,15 @@ which makes subgroup equality a tuple comparison.  Every public builder
 checks once, through the full constructor, which checks the columns, the
 transitivity and the relators and relabels the cosets from the basepoint
 it is given; ``make_subgroup`` is that constructor read by columns, one
-permutation per generator.  Only three functions call the unchecked
-``Subgroup._trusted``, each on rows that are canonical, transitive and
-relator-closed by construction: ``enumerate._each_subgroup`` (the
-low-index search), ``intersect`` (the orbit of two validated product
-actions) and ``chartower.char_core_within`` (the rows that
-``_flatten_rows`` walks over a validated core).
+permutation per generator.  Only four functions call the unchecked
+``Subgroup._trusted``, each on rows that are canonical and transitive by
+construction.  Three of them are relator-closed by construction too:
+``enumerate._each_subgroup`` (the low-index search), ``intersect`` (the
+orbit of two validated product actions) and ``chartower.char_core_within``
+(the rows that ``_flatten_rows`` walks over a validated core).  The
+fourth, ``chartower._abelian_kernel``, runs the constructor's own relator
+check, ``_check_relators``, on its orbit's rows: that is the check on its
+diagonal form.
 
 Every orbit walk that builds or checks a table (the constructor itself,
 intersection, tables from permutations, flattening an action over a
@@ -33,7 +36,8 @@ construction.  Flattening, ``_flatten_rows``, walks (cover coset, state)
 pairs, so a relative core and the preimage of a germ are each one walk.
 A conjugate is the constructor at a moved basepoint, not a walk of its
 own.  Containment, normality and deck transformations are one coset-map
-walk, ``_coset_map``: H <= K iff H's cosets map equivariantly to K's with
+walk, ``_coset_map`` (containment takes none when the indices do not
+divide, or when the larger group is the whole group): H <= K iff H's cosets map equivariantly to K's with
 0 going to 0, H is normal iff its cosets map to themselves with 0 going to
 each neighbour of 0, and the maps taking 0 to each coset are then its
 deck group.  Each subgroup builds its own Schreier system once, as
@@ -112,16 +116,9 @@ class Subgroup:
             raise NotTransitive(
                 f"only {len(rows)} of {n} cosets reachable from basepoint"
             )
-        # Relators must act trivially from every coset; relabelling the
-        # cosets does not change that, so the input table is checked.
-        for r in self.pres.relators:
-            ends = range(n)
-            for x in r:
-                col = moves[x]
-                ends = [col[d] for d in ends]
-            for c, d in enumerate(ends):
-                if d != c:
-                    raise RelatorViolated(f"relator moves coset {c} to {d}")
+        # Relabelling the cosets does not change the relators' action, so
+        # the input table is checked.
+        _check_relators(self.pres, moves, n)
         if rows != table:
             object.__setattr__(self, "table", rows)
 
@@ -177,6 +174,19 @@ def _signed_columns(table: Sequence[Sequence[int]]) -> dict[int, tuple[int, ...]
             back[d] = c
         moves[j], moves[-j] = col, tuple(back)
     return moves
+
+
+def _check_relators(pres: Presentation, moves: dict[int, tuple[int, ...]], n: int) -> None:
+    """Raise RelatorViolated unless every relator of ``pres`` acts trivially
+    from each of the ``n`` cosets of the signed action ``moves``."""
+    for r in pres.relators:
+        ends = range(n)
+        for x in r:
+            col = moves[x]
+            ends = [col[d] for d in ends]
+        for c, d in enumerate(ends):
+            if d != c:
+                raise RelatorViolated(f"relator moves coset {c} to {d}")
 
 
 def _letter_error(moves: dict[int, tuple[int, ...]], x: object) -> ValueError:
@@ -444,7 +454,10 @@ def factor_through(beta: Subgroup, alpha: Subgroup) -> Optional[CoveringArrow]:
     Both spaces are transitive, so the map is onto with equal-size fibres."""
     if beta.pres != alpha.pres:
         raise InconsistentInput("subgroups of different presentations")
-    f = _coset_map(beta, alpha, 0)
+    if beta.index % alpha.index:  # Lagrange: no subgroup of alpha has this index
+        return None
+    # Into the whole group every coset maps to its one coset, with no walk.
+    f = (0,) * beta.index if alpha.index == 1 else _coset_map(beta, alpha, 0)
     if f is None:
         return None
     return CoveringArrow(beta, alpha, beta.index // alpha.index, tuple(f))

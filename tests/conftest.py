@@ -47,11 +47,12 @@ def _checked_vaut(*fields):
 def full_validation():
     """Route both trusted builders through the full validators.
 
-    The library builds the tables of the low-index search, of ``intersect``
-    and of ``chartower.char_core_within`` (rows from
-    ``cosets._flatten_rows``) with ``Subgroup._trusted`` and the germs of
-    ``compose``, ``identity_vaut`` and ``vaut_from_automorphism`` with
-    ``vaut._certified``, and checks neither.  In the tests every such table
+    The library builds the tables of the low-index search, of ``intersect``,
+    of ``chartower.char_core_within`` (rows from ``cosets._flatten_rows``)
+    and of ``chartower._abelian_kernel`` (which checks only the relators)
+    with ``Subgroup._trusted`` and the germs of ``compose``,
+    ``identity_vaut`` and ``vaut_from_automorphism`` with
+    ``vaut._certified``, and checks neither in full.  In the tests every such table
     goes through the full ``Subgroup`` constructor and must come back
     unchanged (it was already canonical), and every certified germ must have
     freely reduced images and witnesses, since its piece tables do not

@@ -8,6 +8,7 @@ brute-force walks in ``coset_oracles`` that never call the package.
 import random
 from math import gcd, prod
 
+import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -20,6 +21,7 @@ from covertower import (
     low_index_subgroups,
     reidemeister_schreier,
 )
+from covertower import Subgroup, RelatorViolated, chartower
 from covertower.chartower import _abelian_kernel, _kernel_core
 from covertower.words import _diagonal_form
 
@@ -113,6 +115,40 @@ def test_abelian_kernel_matches_the_brute_force_walk():
             expected = abelian_kernel_table(pres.generator_count, pres.relators, n)
             assert kernel.table == expected
             assert index == len(expected)
+
+
+@pytest.mark.trusted_path
+def test_abelian_kernel_is_one_walk(pres2, monkeypatch):
+    # The orbit's rows come out canonical and transitive, so the kernel is
+    # one walk, with no constructor to walk them again.
+    walks, runs = [], []
+    orbit_rows, post_init = chartower._orbit_rows, Subgroup.__post_init__
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args)
+        return orbit_rows(*args, **kwargs)
+
+    def counted_init(self, *args):
+        runs.append(self)
+        post_init(self, *args)
+
+    monkeypatch.setattr(chartower, "_orbit_rows", counted_walk)
+    monkeypatch.setattr(Subgroup, "__post_init__", counted_init)
+    index, kernel = _abelian_kernel(pres2, 4, 10_000)
+    assert index == kernel.index == 256
+    assert len(walks) == 1 and not runs
+    assert Subgroup(pres2, kernel.table).table == kernel.table
+
+
+@pytest.mark.trusted_path
+def test_abelian_kernel_checks_its_diagonal_form(monkeypatch):
+    # The relators are still checked on the walked rows: a diagonal form
+    # that misses the torsion of Z/3 gives an action of Z/6 that x^3 moves.
+    z3 = GenericPresentation(1, ((1, 1, 1),))
+    assert _abelian_kernel(z3, 6, 100)[0] == 3
+    monkeypatch.setattr(chartower, "_diagonal_form", lambda relators, k: ([0], [[1]]))
+    with pytest.raises(RelatorViolated, match="^relator moves coset 0 to "):
+        _abelian_kernel(z3, 6, 100)
 
 
 def test_abelian_kernel_over_the_cap_is_only_counted():

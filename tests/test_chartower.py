@@ -25,6 +25,7 @@ from covertower import (
     char_order,
     contains,
     deck_group,
+    factor_through,
     fiber_product_preserves_char,
     free_reduce,
     full_subgroup,
@@ -149,6 +150,14 @@ def _no_search(*args):
 
 def _no_elimination(*args):
     raise AssertionError("the relator matrix must not be eliminated")
+
+
+def _no_restriction(*args):
+    raise AssertionError("no relative table may be built")
+
+
+def _no_normality_walk(*args):
+    raise AssertionError("normality must not be walked")
 
 
 @pytest.mark.parametrize("genus, n", [(2, 4), (2, 5), (2, 6), (3, 3)])
@@ -411,8 +420,9 @@ def test_build_char_tower(pres2):
 
 
 def test_tower_edges_reuse_their_arrows(pres2, ledger_tower_steps, monkeypatch):
-    # Normality is a coset-map walk, not a conjugate per generator, and each
-    # non-root edge restricts its own arrow once.
+    # Normality is a coset-map walk, not a conjugate per generator, and every
+    # non-root edge is past the core search's cap, so none builds a relative
+    # table.
     calls = {"conjugate_subgroup": 0, "restrict_to_cover": 0}
     for module in (cosets, chartower):
         for name in calls:
@@ -439,7 +449,98 @@ def test_tower_edges_reuse_their_arrows(pres2, ledger_tower_steps, monkeypatch):
         (4096, 1): (4096, "yes"),
         (4096, 16): (256, "unknown"),
     }
-    assert calls == {"conjugate_subgroup": 0, "restrict_to_cover": 3}
+    assert calls == {"conjugate_subgroup": 0, "restrict_to_cover": 0}
+
+
+def _restrictions(monkeypatch):
+    """The arrows that chartower restricts to a relative table, as it goes."""
+    arrows = []
+    original = chartower.restrict_to_cover
+
+    def counted(arrow):
+        arrows.append(arrow)
+        return original(arrow)
+
+    monkeypatch.setattr(chartower, "restrict_to_cover", counted)
+    return arrows
+
+
+def test_certified_edges_past_the_cap_agree_with_the_relative_route(
+    pres2, ledger_tower_steps, monkeypatch
+):
+    # A certified node is normal in G, so in every cover above it, and past
+    # the core search's cap its edge is "unknown" with no relative table.
+    # The same subgroup given bare restricts, walks normality in the
+    # relative table and has its search refused: the same answer.
+    tower = build_char_tower(pres2, ledger_tower_steps)
+    restricted = _restrictions(monkeypatch)
+    checked = 0
+    for edge in tower.edges:
+        node, sup = tower.node(edge.sub), tower.node(edge.super)
+        if sup.degree == 1:
+            continue
+        shortcut = char_order(node.char, sup.char)
+        assert not restricted
+        relative = char_order(node.char.subgroup, sup.char)
+        assert len(restricted) == 1
+        restricted.clear()
+        assert shortcut == relative == edge.char_tag
+        checked += 1
+    assert checked == 3
+
+
+def test_non_normal_relative_cover_past_the_cap_is_no(pres2, index_two_subgroups, monkeypatch):
+    # Past the cap (relative index 3 > max(2, max_index = 2)) a cover that is
+    # not certified still walks normality in its relative table, so one that
+    # is not normal there is "no", as it is under the default cap.  A
+    # partial certificate claims nothing about normality.
+    h = index_two_subgroups[0]
+    inner = next(
+        b
+        for s in low_index_subgroups(pres2, 3)
+        if s.index == 3
+        for b in [intersect(h, s)]
+        if not is_normal(restrict_to_cover(factor_through(b, h)))
+    )
+    assert inner.index == 6
+    partial = CharSubgroup(inner, CharCertificate("supplied-aut-invariance", partial=True))
+    restricted = _restrictions(monkeypatch)
+    for config in (RunConfig(max_index=2), None):
+        assert char_order(inner, h, config) == "no"
+        assert char_order(partial, h, config) == "no"
+    assert len(restricted) == 4
+    non_normal = next(
+        s for s in low_index_subgroups(pres2, 3) if s.index == 3 and not is_normal(s)
+    )
+    assert char_order(non_normal, full_subgroup(pres2), RunConfig(max_index=2)) == "no"
+
+
+def test_relative_core_past_the_cap_is_refused_before_restricting(pres2, monkeypatch):
+    # char_core_within reads the search's refusal off the arrow's degree, so
+    # it raises the same BudgetExceeded as the search with no relative table.
+    monkeypatch.setattr(chartower, "restrict_to_cover", _no_restriction)
+    h2 = homology_cover(pres2, 2).subgroup
+    inner = intersect(h2, _cyclic_cover(pres2, 5))
+    with pytest.raises(BudgetExceeded, match="^max_index 5 above configured cap 4$"):
+        char_core_within(h2, inner, RunConfig(max_index=4))
+
+
+def test_deep_homology_tower_builds_no_relative_table(pres2, monkeypatch):
+    # Homology 2, 4, 8, 16 (index 65,536): the four edges over the base are
+    # "yes" by certificate, and the six between covers are past the core
+    # search's cap, so none restricts or walks normality.
+    monkeypatch.setattr(chartower, "restrict_to_cover", _no_restriction)
+    monkeypatch.setattr(chartower, "is_normal", _no_normality_walk)
+    steps = [{"kind": "homology", "n": n} for n in (2, 4, 8, 16)]
+    tower = build_char_tower(pres2, steps, RunConfig(max_result_index=70_000))
+    degree = {node.name: node.degree for node in tower.nodes}
+    tags = {(degree[e.sub], degree[e.super]): e.char_tag for e in tower.edges}
+    assert tags == {
+        (sub, sup): "yes" if sup == 1 else "unknown"
+        for sub in (16, 256, 4096, 65536)
+        for sup in (1, 16, 256, 4096)
+        if sup < sub
+    }
 
 
 def test_tower_rejects_non_invariant_bare_subgroup(pres2, index_two_subgroups):

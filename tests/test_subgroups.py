@@ -373,6 +373,29 @@ def test_factor_through(pres2, index_two_subgroups):
     assert factor_through(a, b) is None
 
 
+def test_factor_through_takes_no_walk_when_the_indices_fix_the_answer(pres2, index_two_subgroups, monkeypatch):
+    # Lagrange: a subgroup of alpha has index a multiple of alpha's, so a
+    # pair whose indices do not divide is refused before any coset map.
+    h2 = index_two_subgroups[0]
+    h3 = next(s for s in low_index_subgroups(pres2, 3) if s.index == 3)
+    mod2 = homology_cover(pres2, 2).subgroup
+
+    def no_walk(*args):
+        raise AssertionError("no coset map may be walked")
+
+    monkeypatch.setattr(cosets, "_coset_map", no_walk)
+    for beta, alpha in [(h3, h2), (h2, h3), (h2, mod2), (mod2, h3)]:
+        assert beta.index % alpha.index
+        assert factor_through(beta, alpha) is None
+        assert not is_subgroup_of(beta, alpha)
+    # Every subgroup lies in the whole group, over its one coset.
+    full = full_subgroup(pres2)
+    for beta in (full, h3, mod2):
+        arrow = factor_through(beta, full)
+        assert arrow.relative_degree == beta.index
+        assert arrow.coset_map == (0,) * beta.index
+
+
 def test_restrict_and_flatten_round_trip(index_two_subgroups):
     outer = index_two_subgroups[0]
     inner = intersect(outer, index_two_subgroups[3])

@@ -52,6 +52,8 @@ UNCHECKED_CALLERS = {
         "validated actions satisfies every relator",
         "chartower.char_core_within": "each base relator rewrites to a "
         "relator that the validated core satisfies",
+        "chartower._abelian_kernel": "its orbit rows are canonical and "
+        "transitive, and it checks the relators on them itself",
     },
     "_certified": {
         "vaut.compose": "the composite of two certified germs, with composed "

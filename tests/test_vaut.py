@@ -79,14 +79,31 @@ def test_tampered_images_rejected(h1):
         validate_vaut(broken)
 
 
-def test_dropped_generator_fails_generation(h1):
-    # Sending the last Schreier generator to a repeat of the first can no
-    # longer span the target homology, so the certificate must refuse it.
+def test_dropped_generator_fails_generation(h1, monkeypatch):
+    # Each Schreier generator s goes to t^e(s), t the first of them and e(s)
+    # the sum of s's letters (j times the exponent sum of x_j), which the
+    # relator does not change.  That is a homomorphism of h1 onto the cyclic
+    # group of t: it lies in the codomain and kills every rewritten
+    # relator, and only the span certificate sees that it drops every other
+    # generator.
     v = identity_vaut(h1)
-    broken = VirtualAutomorphism(
-        v.domain, v.codomain, v.images[:-1] + (v.images[0],), None
-    )
-    with pytest.raises(IdentificationInvalid):
+    t = v.images[0]
+
+    def power(w):
+        e = sum(w)
+        return (t if e > 0 else words.inverse_word(t)) * abs(e)
+
+    images = tuple(power(s) for s in schreier_generators(h1))
+    assert len(set(images)) > 2
+    broken = VirtualAutomorphism(v.domain, v.codomain, images, None)
+    with pytest.raises(IdentificationInvalid, match="not certified to generate"):
+        validate_vaut(broken)
+
+    def unreached(*args):
+        raise AssertionError("the germ was refused before the span")
+
+    monkeypatch.setattr(vaut, "_generation_certified", unreached)
+    with pytest.raises(AssertionError, match="before the span"):
         validate_vaut(broken)
 
 
