@@ -32,17 +32,20 @@ through the trusted ``_certified`` unchecked: ``identity_vaut``,
 ``vaut_from_automorphism`` (a checked ``Automorphism`` and its inverse
 along the BFS trees of the domain and of a fully constructed codomain) and
 ``compose`` (the isomorphism v^-1(overlap) -> w(overlap) composed from
-certified maps).  The cycle that ``reduce_cycle`` returns carries its
-composite, out of its value, and ``from_two_arrow`` hands it back.  Their
-words are freely reduced products of reduced pieces, so their piece
-tables, and those of their inverses, reduce nothing again; a caller's
-images are reduced on first use.
+certified maps).  Every leg of a cycle is an inclusion whose germ is the
+identity, so ``reduce_cycle`` returns the identity on the meet of the
+legs' covers, and ``from_two_arrow`` recognises an identity cycle, built
+or loaded, by one comparison, not by trust.  Certified words are freely
+reduced products of reduced pieces, so their piece tables, and those of
+their inverses, reduce nothing again; a caller's images are reduced on
+first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -212,22 +215,19 @@ class TwoArrowCycle:
 
     ``forward`` gives, for each Schreier generator of ``alpha``, its image
     in ``beta`` as an ambient word; ``backward`` goes the other way.  When
-    alpha equals beta the identity identification may be left implicit.
+    alpha equals beta the identity identification may be left implicit, or
+    given as the Schreier generators both ways, as ``reduce_cycle`` does.
     """
 
     alpha: Subgroup
     beta: Subgroup
     forward: Optional[tuple[Word, ...]] = None
     backward: Optional[tuple[Word, ...]] = None
-    # The germ that ``reduce_cycle`` certified, kept out of the cycle's value.
-    _germ: Optional[VirtualAutomorphism] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
 
 def from_two_arrow(cycle: TwoArrowCycle) -> VirtualAutomorphism:
-    if cycle._germ is not None:
-        return cycle._germ
+    """The cycle's germ: the identity of one cover, implicit or as its
+    Schreier generators both ways, by one comparison, else validated."""
     alpha = cycle.alpha
     beta = cycle.beta
     if alpha.pres != beta.pres:
@@ -236,11 +236,11 @@ def from_two_arrow(cycle: TwoArrowCycle) -> VirtualAutomorphism:
         raise IdentificationInvalid(
             "covers of different degree admit no identification"
         )
-    if cycle.forward is None:
-        if alpha != beta:
-            raise IdentificationInvalid(
-                "identification must be supplied for distinct covers"
-            )
+    if cycle.forward is None and alpha != beta:
+        raise IdentificationInvalid("identification must be supplied for distinct covers")
+    if cycle.forward is None or (
+        alpha == beta and cycle.forward == cycle.backward == schreier_generators(alpha)
+    ):
         return identity_vaut(alpha)
     v = VirtualAutomorphism(alpha, beta, cycle.forward, cycle.backward)
     try:
@@ -329,9 +329,9 @@ def inverse(
     """Swap domain and codomain using the inverse witnesses.
 
     Without witnesses a bounded product search tries to express each
-    codomain Schreier generator in the images; small cases (identities,
-    restrictions of ambient automorphisms) resolve quickly, anything
-    deeper raises NotInvertible.
+    codomain Schreier generator in the images; small cases resolve
+    quickly, and past 200,000 Dehn comparisons or the length bound it
+    raises NotInvertible, saying how far it got.
     """
     cfg = config or DEFAULT_CONFIG
     if v.inverse_images is not None:
@@ -339,35 +339,38 @@ def inverse(
     pres = v.domain.pres
     if not isinstance(pres, SurfacePresentation):
         raise NotInvertible("witness-free inversion needs the base surface group")
-    dom = v.domain
-    cod = v.codomain
-    dom_gens = schreier_generators(dom)
+    dom, cod = v.domain, v.codomain
     targets = schreier_generators(cod)
     m = len(v.images)
-    budget = 200_000
+    budget = 200_000  # Dehn comparisons of a product with an unsolved target
     alphabet = [(e, v._pieces[e]) for e in [*range(1, m + 1), *range(-1, -m - 1, -1)]]
-    dom_pieces = _PieceTable(dom_gens)
+    dom_pieces = _PieceTable(schreier_generators(dom))
     solved: list[Optional[Word]] = [None] * len(targets)
     frontier: list[tuple[tuple[int, ...], Word]] = [((), ())]
-    seen = 0
-    for _ in range(cfg.max_solve_length):
+    compared = length = 0
+
+    def refusal(why: str) -> NotInvertible:
+        found = len(targets) - solved.count(None)
+        return NotInvertible(
+            f"{why}: {compared} comparisons, words up to length {length}, "
+            f"{found} of {len(targets)} targets solved"
+        )
+
+    while None in solved and length < cfg.max_solve_length:
+        length += 1
         new_frontier = []
-        for prefix, value in frontier:
-            for sym, img in alphabet:
-                seen += 1
-                if seen > budget:
-                    raise NotInvertible("bounded inverse search exhausted its budget")
-                word = prefix + (sym,)
-                val = _reduced_product((value, img))
-                for t_i, t in enumerate(targets):
-                    if solved[t_i] is None and words_equal(pres, val, t):
-                        solved[t_i] = substitute(dom_pieces, word)
-                new_frontier.append((word, val))
+        for (prefix, value), (sym, img) in product(frontier, alphabet):
+            word, val = prefix + (sym,), _reduced_product((value, img))
+            for t_i in [i for i, w in enumerate(solved) if w is None]:
+                if compared == budget:
+                    raise refusal("bounded inverse search exhausted its budget")
+                compared += 1
+                if words_equal(pres, val, targets[t_i]):
+                    solved[t_i] = substitute(dom_pieces, word)
+            new_frontier.append((word, val))
         frontier = new_frontier
-        if all(s is not None for s in solved):
-            break
-    if any(s is None for s in solved):
-        raise NotInvertible("no inverse witness found within the length bound")
+    if None in solved:
+        raise refusal("no inverse witness found within the length bound")
     out = VirtualAutomorphism(cod, dom, tuple(solved), v.images)  # type: ignore[arg-type]
     validate_vaut(out)
     return out
@@ -480,26 +483,22 @@ def reduce_cycle(
 ) -> TwoArrowCycle:
     """Collapse a cycle to a two-arrow cycle by iterated fiber products.
 
-    Each leg contributes the germ of its covering arrow; the legs are
-    composed left-to-right or right-to-left according to ``order``, and
-    both orders produce germ-equal results.
+    Every leg is a basepoint-preserving inclusion whose germ is the
+    identity, so the composite in either order is the identity on the meet
+    of the legs' covers: the fiber products intersect them, left-to-right
+    or right-to-left according to ``order``, and both give the same cycle.
     """
+    if order not in ("left", "right"):
+        raise ValueError(f"unknown reduction order {order!r}")
     cfg = config or DEFAULT_CONFIG
     path.validate()
-    germs = [identity_vaut(arrow.sub) for arrow, _ in path.legs]
-    if order == "left":
-        acc = germs[0]
-        for nxt in germs[1:]:
-            acc = compose(acc, nxt, cfg)
-    elif order == "right":
-        acc = germs[-1]
-        for prv in reversed(germs[:-1]):
-            acc = compose(prv, acc, cfg)
-    else:
-        raise ValueError(f"unknown reduction order {order!r}")
-    cycle = TwoArrowCycle(acc.domain, acc.codomain, acc.images, acc.inverse_images)
-    object.__setattr__(cycle, "_germ", acc)
-    return cycle
+    subs = [arrow.sub for arrow, _ in path.legs]
+    meet = reduce(
+        lambda acc, sub: intersect(acc, sub, cfg.max_result_index),
+        subs if order == "left" else reversed(subs),
+    )
+    gens = schreier_generators(meet)
+    return TwoArrowCycle(meet, meet, gens, gens)
 
 
 # ---------------------------------------------------------------------------

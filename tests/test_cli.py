@@ -157,25 +157,46 @@ def test_vaut_verbs(tmp_path, capsys, index_two_subgroups):
     assert found["index"] <= 2
 
 
+# SHA-256 of the stdout, the stored cycle/1 file and the stored vaut/1 file
+# of ``vaut reduce``, the same for both orders.
+REDUCE_DIGESTS = {
+    "zigzag": (
+        "50d51d094abd7656d9545433e420d6e7e352f68e13231366436b4778fd9198d0",
+        "c74338a2ed6318d92be00893b9250eed492d3450d51706e18aec2ffae11e74b4",
+        "36da249cd904fd48c31fb03349f54433f765ebb0fd1fcca09ccdcdda76120e0c",
+    ),
+    "five-hop": (
+        "ea929fc90c12cfde7783310b2b0b204edeb8140c8d1e964d1c5d423d87733564",
+        "54d2ce70b956f5fff95396c1733bdc1f5865352487075bb5116c91b7426ad883",
+        "167022625de6cf5e9630fac042db146b7e2bc594f7bdd2de6302ed0fff17ba12",
+    ),
+}
+
+
 def test_vaut_reduce_orders_match(tmp_path, capsys, pres2, index_two_subgroups):
     from covertower import full_subgroup, intersect
 
     ws = str(tmp_path)
-    h1, h2 = index_two_subgroups[:2]
-    full = store_doc(tmp_path, subgroup_doc(full_subgroup(pres2))).name
-    a = store_doc(tmp_path, subgroup_doc(h1)).name
-    c = store_doc(tmp_path, subgroup_doc(intersect(h1, h2))).name
-    b = store_doc(tmp_path, subgroup_doc(h2)).name
-    left = _run_json(
-        capsys, "--workspace", ws, "vaut", "reduce", full, a, c, b, full,
-        "--order", "left",
-    )
-    right = _run_json(
-        capsys, "--workspace", ws, "vaut", "reduce", full, a, c, b, full,
-        "--order", "right",
-    )
-    assert left == right
-    assert left["domainIndex"] == 4
+    h1, h2, h4 = index_two_subgroups[0], index_two_subgroups[1], index_two_subgroups[3]
+
+    def stored(sub):
+        return store_doc(tmp_path, subgroup_doc(sub)).name
+
+    full = stored(full_subgroup(pres2))
+    a, c, b = stored(h1), stored(intersect(h1, h2)), stored(h2)
+    e, d = stored(intersect(h2, h4)), stored(h4)
+    cycles = {"zigzag": ((full, a, c, b, full), 4), "five-hop": ((a, c, b, e, d), 8)}
+    for name, (hops, index) in cycles.items():
+        for order in ("left", "right"):
+            code, out, err = _run(
+                capsys, "--workspace", ws, "vaut", "reduce", *hops, "--order", order
+            )
+            assert code == 0, err
+            result = json.loads(out)
+            assert result["domainIndex"] == index
+            files = [(tmp_path / result[kind]).read_bytes() for kind in ("cycle", "vaut")]
+            digests = tuple(hashlib.sha256(raw).hexdigest() for raw in (out.encode(), *files))
+            assert digests == REDUCE_DIGESTS[name], (name, order)
 
 
 def test_genus1_verbs(tmp_path, capsys):

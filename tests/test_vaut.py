@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import random
 import time
 
@@ -40,6 +42,7 @@ from covertower import (
     reidemeister_schreier,
     schreier_generators,
     validate_vaut,
+    vaut_doc,
     vaut_from_automorphism,
     words_equal,
 )
@@ -662,6 +665,52 @@ def test_uninvertible_budget_raises(pres, h1):
         inverse(stripped, RunConfig(max_solve_length=1))
 
 
+def test_witness_free_inverse_counts_comparisons(pres, monkeypatch):
+    # 49 targets on the mod-2 cover: counting products, the budget allowed
+    # 200,000 products of 49 comparisons each, about 9.8 million.
+    v = identity_vaut(homology_cover(pres, 2).subgroup)
+    stripped = VirtualAutomorphism(v.domain, v.codomain, v.images, None)
+    assert len(schreier_generators(v.codomain)) == 49
+    calls = 0
+
+    def never_equal(*args):
+        nonlocal calls
+        calls += 1
+        return False
+
+    monkeypatch.setattr(vaut, "words_equal", never_equal)
+    with pytest.raises(NotInvertible) as refused:
+        inverse(stripped)
+    assert calls == 200_000
+    assert str(refused.value) == (
+        "bounded inverse search exhausted its budget: 200000 comparisons, "
+        "words up to length 2, 0 of 49 targets solved"
+    )
+    # 98 letters, each compared with the 49 targets.
+    calls = 0
+    with pytest.raises(NotInvertible) as refused:
+        inverse(stripped, RunConfig(max_solve_length=1))
+    assert calls == 98 * 49
+    assert str(refused.value) == (
+        "no inverse witness found within the length bound: 4802 comparisons, "
+        "words up to length 1, 0 of 49 targets solved"
+    )
+
+
+def test_witness_free_inverse_refusal_counts_what_it_solved(pres, h1):
+    # Conjugation by x4 restricted to h1: the 14 letters of a length-1
+    # search solve 4 of the 7 targets, and a solved target is compared no
+    # more, so 55 comparisons, not 14 * 7.
+    v = vaut_from_automorphism(inner_automorphism(pres, (4,)), h1)
+    stripped = VirtualAutomorphism(v.domain, v.codomain, v.images, None)
+    with pytest.raises(NotInvertible) as refused:
+        inverse(stripped, RunConfig(max_solve_length=1))
+    assert str(refused.value) == (
+        "no inverse witness found within the length bound: 55 comparisons, "
+        "words up to length 1, 4 of 7 targets solved"
+    )
+
+
 def test_germ_equality_on_smaller_overlap(pres, h1, h2):
     v = identity_vaut(h1)
     four = intersect(h1, h2)
@@ -722,6 +771,67 @@ def test_many_random_cycles_reduce_consistently(pres):
         vl = from_two_arrow(reduce_cycle(path, order="left"))
         vr = from_two_arrow(reduce_cycle(path, order="right"))
         assert germ_equals(vl, vr)
+
+
+def _composed_reduction(path, order, config=None):
+    """The reduction by composition: the legs' identity germs composed
+    left-to-right or right-to-left."""
+    germs = [identity_vaut(arrow.sub) for arrow, _ in path.legs]
+    if order == "left":
+        return functools.reduce(lambda acc, g: compose(acc, g, config), germs)
+    return functools.reduce(lambda acc, g: compose(g, acc, config), reversed(germs))
+
+
+@pytest.fixture(scope="module")
+def reduction_cycles(index_two_subgroups):
+    """3-hop zigzags over every pair of distinct index-2 subgroups, and
+    seeded 5-hop cycles [A, A&B, B, B&D, D]."""
+    subs = index_two_subgroups
+    cycles = [
+        cycle_from_subgroups([a, intersect(a, b), b]) for a, b in itertools.combinations(subs, 2)
+    ]
+    rng = random.Random(25)
+    for _ in range(4):
+        a, b, d = rng.sample(subs, 3)
+        cycles.append(cycle_from_subgroups([a, intersect(a, b), b, intersect(b, d), d]))
+    return cycles
+
+
+def test_reduction_is_the_composite_of_its_legs(reduction_cycles):
+    meets = set()
+    for path in reduction_cycles:
+        for order in ("left", "right"):
+            old = _composed_reduction(path, order)
+            cycle = reduce_cycle(path, order)
+            old_cycle = TwoArrowCycle(old.domain, old.codomain, old.images, old.inverse_images)
+            assert cycle_doc(cycle) == cycle_doc(old_cycle)
+            assert vaut_doc(from_two_arrow(cycle)) == vaut_doc(old)
+            meets.add(cycle.alpha.index)
+    assert len(reduction_cycles) == 105 + 4 and meets == {4, 8}
+
+
+@pytest.mark.trusted_path
+def test_reduction_composes_nothing(reduction_cycles, monkeypatch):
+    calls = []
+    for name in ("compose", "preimage_subgroup", "inverse", "validate_vaut"):
+        monkeypatch.setattr(vaut, name, lambda *args, name=name, **kw: calls.append(name))
+    for path in reduction_cycles:
+        for order in ("left", "right"):
+            v = from_two_arrow(reduce_cycle(path, order))
+            assert v.domain == v.codomain and v.images == schreier_generators(v.domain)
+    assert calls == []
+
+
+def test_reduction_past_the_cap_is_refused_as_before(reduction_cycles):
+    # A zigzag meets in index 4 and the last 5-hop cycle in index 8.
+    for path, cap in ((reduction_cycles[0], 2), (reduction_cycles[-1], 4)):
+        config = RunConfig(max_result_index=cap)
+        for order in ("left", "right"):
+            with pytest.raises(IntersectionIndexOverflow) as old:
+                _composed_reduction(path, order, config)
+            with pytest.raises(IntersectionIndexOverflow) as new:
+                reduce_cycle(path, order, config)
+            assert str(new.value) == str(old.value) == f"intersection exceeds index cap {cap}"
 
 
 def test_mcl_witness_and_search(pres, h1):
@@ -850,8 +960,8 @@ def zigzag(index_two_subgroups):
 
 @pytest.mark.trusted_path
 def test_zigzag_validates_only_where_it_enters(zigzag, monkeypatch):
-    # Reducing a zigzag composes only certified germs, and each two-arrow
-    # cycle hands its certified germ to from_two_arrow: nothing is checked.
+    # Reducing a zigzag composes nothing, and from_two_arrow recognises the
+    # identity of the meet that it returns: nothing is checked.
     validations = _count_validations(monkeypatch)
     left = reduce_cycle(zigzag, order="left")
     right = reduce_cycle(zigzag, order="right")
@@ -864,26 +974,31 @@ def test_zigzag_validates_only_where_it_enters(zigzag, monkeypatch):
 
 @pytest.mark.trusted_path
 def test_cycles_from_outside_are_validated_once(zigzag, monkeypatch):
+    # A reduced cycle is the identity of the meet, its Schreier generators
+    # both ways: rebuilt or loaded, one comparison recognises it.
     reduced = reduce_cycle(zigzag, order="left")
-    germ = from_two_arrow(reduced)
+    meet = reduced.alpha
+    assert reduced == TwoArrowCycle(meet, meet, schreier_generators(meet), schreier_generators(meet))
     rebuilt = TwoArrowCycle(reduced.alpha, reduced.beta, reduced.forward, reduced.backward)
     loaded = cycle_from_doc(cycle_doc(reduced))
-    # The carried germ is not part of the cycle's value.
-    for cycle in (rebuilt, loaded):
-        assert cycle == reduced and hash(cycle) == hash(reduced)
-        assert repr(cycle) == repr(reduced)
-        assert cycle_doc(cycle) == cycle_doc(reduced)
-    assert "_germ" not in repr(reduced) and "_germ" not in cycle_doc(reduced)
     validations = _count_validations(monkeypatch)
-    for cycle in (rebuilt, loaded):
-        before = len(validations)
-        assert from_two_arrow(cycle) == germ
-        assert len(validations) == before + 1
-    forward = list(reduced.forward)
-    forward[0], forward[1] = forward[1], forward[0]
-    forged = TwoArrowCycle(reduced.alpha, reduced.beta, tuple(forward), reduced.backward)
-    with pytest.raises(IdentificationInvalid):
-        from_two_arrow(forged)
+    for cycle in (reduced, rebuilt, loaded):
+        assert from_two_arrow(cycle) == identity_vaut(meet)
+    assert validations == []
+    # Anything else is validated, once: a lengthened witness passes, a
+    # swapped image or a forged witness does not.
+    gens = reduced.forward
+    lengthened = TwoArrowCycle(meet, meet, gens, (gens[0] + (1, -1), *gens[1:]))
+    assert germ_equals(from_two_arrow(lengthened), identity_vaut(meet))
+    assert len(validations) == 1
+    forged = [
+        (_swap_first_two(gens), gens, "images violate a rewritten relator"),
+        (gens, _swap_first_two(gens), "the map does not undo its inverse witnesses"),
+    ]
+    for forward, backward, message in forged:
+        with pytest.raises(IdentificationInvalid, match=message):
+            from_two_arrow(TwoArrowCycle(meet, meet, forward, backward))
+    assert len(validations) == 3
 
 
 @pytest.mark.trusted_path
