@@ -227,7 +227,8 @@ def _cmd_enumerate(args) -> int:
     counts: dict[str, int] = {}
     for sub in subs:
         counts[str(sub.index)] = counts.get(str(sub.index), 0) + 1
-    files = [p.name for p in store_docs(root, (subgroup_doc(s) for s in subs))]
+    files = store_docs(root, (subgroup_doc(s) for s in subs))
+    files.sort()
     manifest = {
         "schema": "manifest/1",
         "kind": "enumerate",
@@ -235,7 +236,7 @@ def _cmd_enumerate(args) -> int:
         "maxIndex": args.max_index,
         "seed": cfg.seed,
         "counts": counts,
-        "files": sorted(files),
+        "files": files,
     }
     name = f"manifest-enumerate-g{args.genus}-i{args.max_index}.json"
     _write_atomic(root / name, canonical_json_bytes(manifest))
@@ -401,11 +402,11 @@ def _cmd_vaut_reduce(args) -> int:
         raise InconsistentInput(str(exc)) from exc
     cycle = reduce_cycle(path, args.order, cfg)
     vaut = from_two_arrow(cycle)
-    cycle_path, vaut_path = store_docs(root, [cycle_doc(cycle), vaut_doc(vaut)])
+    cycle_name, vaut_name = store_docs(root, [cycle_doc(cycle), vaut_doc(vaut)])
     _emit(
         {
-            "cycle": cycle_path.name,
-            "vaut": vaut_path.name,
+            "cycle": cycle_name,
+            "vaut": vaut_name,
             "domainIndex": vaut.domain.index,
         }
     )

@@ -13,6 +13,9 @@ relator cycle traced through every cell, so it is relator-closed as well as
 canonical and transitive, and it is built by ``Subgroup._trusted``
 without a second check.  Each subgroup is handed on as
 the search completes it; ``low_index_subgroups`` collects and sorts them.
+Tables share their rows: one search passes every completed row through one
+dict, so a row that recurs across tables (genus 2 up to index 4 has 256
+distinct rows among 21,791) is held once.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ def low_index_subgroups(
     """All subgroups of index <= max_index, sorted by (index, table)."""
     subs: list[Subgroup] = []
     _each_subgroup(pres, max_index, config or DEFAULT_CONFIG, subs.append)
-    return sorted(subs, key=lambda s: (s.index, s.table))
+    subs.sort(key=lambda s: (s.index, s.table))
+    return subs
 
 
 def _each_subgroup(
@@ -71,6 +75,7 @@ def _each_subgroup(
     # is traced when its coset gets a first cell, as a full relator scan would.
     units = [col for col in range(width) if (col,) in buckets[col]]
     tab = [-1] * (max_index * width)
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     nodes = top = found = 0
 
     def deduce(stack: list[tuple[int, int]], trail: list[int]) -> bool:
@@ -112,9 +117,12 @@ def _each_subgroup(
         while pos < end and tab[pos] >= 0:
             pos += 1
         if pos == end:
-            table = tuple(tuple(tab[c * width : (c + 1) * width : 2]) for c in range(n))
+            table = []
+            for c in range(n):
+                row = tuple(tab[c * width : (c + 1) * width : 2])
+                table.append(rows.setdefault(row, row))
             found += 1
-            emit(Subgroup._trusted(pres, table))
+            emit(Subgroup._trusted(pres, tuple(table)))
             return
         c, col = divmod(pos, width)
         for d in range(n + (n < max_index)):

@@ -348,7 +348,10 @@ INDEX_NAME = "index.json"
 def workspace_dir(explicit: Optional[str] = None) -> Path:
     root = explicit or os.environ.get(WORKSPACE_ENV) or "covertower-workspace"
     path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot use workspace {path}: {exc}") from exc
     return path
 
 
@@ -369,30 +372,64 @@ def _write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one step: readers see old or new bytes.
 
     The temporary file sits in the same directory, so ``os.replace`` is a
-    rename within one file system.
+    rename within one file system.  A failed write raises ``SchemaError``
+    naming ``path``.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
-def store_docs(root: Path, docs: Iterable[dict]) -> list[Path]:
+def _index_stamp(path: Path) -> Optional[tuple[int, int, int]]:
+    """Inode, size and mtime of the index, or None when it is absent."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_index(path: Path) -> dict[str, str]:
+    """The index's entries as file name -> schema; empty when it is absent."""
+    if not path.exists():
+        return {}
+    doc = load_doc(path)
+    entries = doc.get("entries")
+    if doc["schema"] != "workspace-index/1" or not isinstance(entries, list):
+        raise SchemaError(f"not a workspace-index/1 document: {path}")
+    out = {}
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("file"), str)
+            and isinstance(entry.get("schema"), str)
+        ):
+            raise SchemaError(f"malformed entry {i} in workspace index: {path}")
+        out[entry["file"]] = entry["schema"]
+    return out
+
+
+def store_docs(root: Path, docs: Iterable[dict]) -> list[str]:
     """Write documents under their content hashes; update the index once.
 
-    ``docs`` may be a generator, so a large batch need not be held in
-    memory at once.  If it raises partway, the index still lists exactly
-    the documents written so far, together with the entries it already had.
+    Returns the stored file names, in the order of ``docs``.  ``docs`` may
+    be a generator, so a large batch need not be held in memory at once.
+    If it raises partway, the index still lists exactly the documents
+    written so far, together with the entries it already had.  If another
+    writer replaced the index meanwhile, its entries are read again and
+    kept.
     """
     index_path = root / INDEX_NAME
-    entries = {}
-    if index_path.exists():
-        for entry in load_doc(index_path).get("entries", []):
-            entries[entry["file"]] = entry["schema"]
-    paths: list[Path] = []
+    stamp = _index_stamp(index_path)
+    entries = _read_index(index_path)
+    names: list[str] = []
     try:
         for doc in docs:
             schema = doc.get("schema")
@@ -401,12 +438,13 @@ def store_docs(root: Path, docs: Iterable[dict]) -> list[Path]:
             data = canonical_json_bytes(doc)
             stem = schema.split("/")[0]
             name = f"{stem}-{hashlib.sha256(data).hexdigest()[:16]}.json"
-            path = root / name
-            _write_atomic(path, data)
+            _write_atomic(root / name, data)
             entries[name] = schema
-            paths.append(path)
+            names.append(name)
     finally:
-        if paths:
+        if names:
+            if _index_stamp(index_path) != stamp:
+                entries = {**_read_index(index_path), **entries}
             index_doc = {
                 "schema": "workspace-index/1",
                 "entries": [
@@ -414,9 +452,9 @@ def store_docs(root: Path, docs: Iterable[dict]) -> list[Path]:
                 ],
             }
             _write_atomic(index_path, canonical_json_bytes(index_doc))
-    return paths
+    return names
 
 
 def store_doc(root: Path, doc: dict) -> Path:
     """Write one document under its content hash and update the index."""
-    return store_docs(root, [doc])[0]
+    return root / store_docs(root, [doc])[0]

@@ -9,6 +9,8 @@ from covertower import (
     RunConfig,
     SurfacePresentation,
     build_char_tower,
+    content_hash,
+    full_subgroup,
     homology_cover,
     identity_vaut,
     make_subgroup,
@@ -446,6 +448,32 @@ def test_schema_error_exit_six(tmp_path, capsys):
     )
     assert code == 6
     assert json.loads(err)["error"] == "SchemaError"
+
+
+def _workspace_is_a_file(tmp_path, pres2):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return taken, taken
+
+
+def _document_name_is_a_directory(tmp_path, pres2):
+    name = f"subgroup-{content_hash(subgroup_doc(full_subgroup(pres2)))[:16]}.json"
+    (tmp_path / name).mkdir()
+    return tmp_path, tmp_path / name
+
+
+@pytest.mark.parametrize("occupy", [_workspace_is_a_file, _document_name_is_a_directory])
+def test_workspace_file_errors_exit_six(tmp_path, capsys, pres2, occupy):
+    ws, blocked = occupy(tmp_path, pres2)
+    code, out, err = _run(
+        capsys, "--workspace", str(ws), "enumerate", "--genus", "2", "--max-index", "2"
+    )
+    assert code == 6
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "SchemaError"
+    assert str(blocked) in diagnostic["message"]
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
 def test_forged_tower_edges_exit_six(tmp_path, capsys):

@@ -35,6 +35,7 @@ from covertower import (
     verify_certificate,
     workspace_dir,
 )
+from covertower import io
 from covertower.vaut import VirtualAutomorphism
 
 
@@ -289,7 +290,7 @@ def test_store_docs_matches_per_document_store(tmp_path, case, index_two_subgrou
             names = [store_doc(root, doc).name for doc in docs]
         else:
             batch = store_docs(root, (doc for doc in docs))
-            assert [p.name for p in batch] == names
+            assert batch == names
         trees.append(_tree(root))
     assert trees[0] == trees[1] == trees[2]
     assert not any(name.endswith(".tmp") for name in trees[2])
@@ -319,6 +320,62 @@ def test_store_docs_indexes_what_it_wrote_before_a_failure(tmp_path, index_two_s
     index = load_doc(tmp_path / "index.json")
     assert len(index["entries"]) == 3
     assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        pytest.param({"schema": "subgroup/1", "entries": []}, id="wrong-schema"),
+        pytest.param({"schema": "workspace-index/1"}, id="no-entries"),
+        pytest.param({"schema": "workspace-index/1", "entries": {}}, id="entries-not-a-list"),
+        pytest.param({"schema": "workspace-index/1", "entries": ["a.json"]}, id="entry-not-an-object"),
+        pytest.param({"schema": "workspace-index/1", "entries": [{"file": "a.json"}]}, id="no-schema"),
+        pytest.param({"schema": "workspace-index/1", "entries": [{"schema": "subgroup/1"}]}, id="no-file"),
+        pytest.param(
+            {"schema": "workspace-index/1", "entries": [{"file": 3, "schema": "subgroup/1"}]},
+            id="file-not-a-string",
+        ),
+    ],
+)
+def test_store_docs_refuses_a_malformed_index(tmp_path, index, index_two_subgroups):
+    (tmp_path / "index.json").write_text(json.dumps(index))
+    with pytest.raises(SchemaError, match="index.json"):
+        store_docs(tmp_path, [subgroup_doc(index_two_subgroups[0])])
+    assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+    assert json.loads((tmp_path / "index.json").read_text()) == index
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["fresh", "existing-index"])
+def test_store_docs_keeps_a_second_writers_entries(tmp_path, seeded, index_two_subgroups):
+    docs = [subgroup_doc(s) for s in index_two_subgroups[:6]]
+    if seeded:
+        store_docs(tmp_path, docs[:1])
+    inner = []
+
+    def first_batch():
+        yield docs[1]
+        # A second writer stores its batch while this one is midway.
+        inner.extend(store_docs(tmp_path, docs[3:6]))
+        yield docs[2]
+
+    outer = store_docs(tmp_path, first_batch())
+    listed = {entry["file"] for entry in load_doc(tmp_path / "index.json")["entries"]}
+    on_disk = {p.name for p in tmp_path.iterdir()} - {"index.json"}
+    assert listed == on_disk
+    assert set(outer) | set(inner) <= listed
+    assert len(listed) == 5 + seeded
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["fresh", "existing-index"])
+def test_store_docs_reads_an_unchanged_index_once(tmp_path, monkeypatch, seeded, index_two_subgroups):
+    docs = [subgroup_doc(s) for s in index_two_subgroups[:3]]
+    if seeded:
+        store_docs(tmp_path, docs[:1])
+    loads = []
+    real_load = io.load_doc
+    monkeypatch.setattr(io, "load_doc", lambda path: loads.append(path) or real_load(path))
+    store_docs(tmp_path, docs[1:])
+    assert len(loads) == seeded
 
 
 def test_workspace_dir(tmp_path, monkeypatch):
