@@ -39,6 +39,7 @@ from .genus_one import (
     mobius_from_rational_matrix,
 )
 from .io import (
+    _pieces,
     _write_atomic,
     canonical_json_bytes,
     cycle_doc,
@@ -78,7 +79,9 @@ class UsageError(CovertowerError):
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.buffer.write(canonical_json_bytes(doc))
+    out = sys.stdout.buffer
+    for piece in _pieces(doc):
+        out.write(piece)
 
 
 def _diagnose(exc: Exception) -> None:
@@ -227,7 +230,15 @@ def _cmd_enumerate(args) -> int:
     counts: dict[str, int] = {}
     for sub in subs:
         counts[str(sub.index)] = counts.get(str(sub.index), 0) + 1
-    files = store_docs(root, (subgroup_doc(s) for s in subs))
+
+    def docs():
+        # Pop each subgroup as its document is built, so the list shrinks
+        # while the store's names grow.
+        subs.reverse()
+        while subs:
+            yield subgroup_doc(subs.pop())
+
+    files = store_docs(root, docs())
     files.sort()
     manifest = {
         "schema": "manifest/1",
@@ -239,7 +250,7 @@ def _cmd_enumerate(args) -> int:
         "files": files,
     }
     name = f"manifest-enumerate-g{args.genus}-i{args.max_index}.json"
-    _write_atomic(root / name, canonical_json_bytes(manifest))
+    _write_atomic(root / name, _pieces(manifest))
     _emit(manifest)
     return EXIT_OK
 
@@ -312,7 +323,7 @@ def _cmd_tower_build(args) -> int:
     }
     if args.dot:
         dot_name = name[: -len(".json")] + ".dot"
-        _write_atomic(root / dot_name, tower_dot(tower).encode("utf-8"))
+        _write_atomic(root / dot_name, [tower_dot(tower).encode("utf-8")])
         out["dot"] = dot_name
     _emit(out)
     return EXIT_OK

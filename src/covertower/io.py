@@ -5,6 +5,17 @@ vaut/1, cycle/1, ledger/1).  Serialization is canonical: sorted keys,
 fixed separators, one trailing newline, no timestamps; identical inputs
 therefore produce byte-identical files, and the workspace store names
 files by content hash.
+
+The canonical bytes are produced in bounded pieces (``_pieces``), with
+the same bytes as one ``json.dumps``: what is or holds a list longer than
+``_BLOCK`` elements or a list of objects is opened (an object key by key,
+a list of objects item by item, a long list ``_BLOCK`` elements at a
+time), and everything else goes to the C encoder whole, so writing a
+document, the index, a manifest or stdout never holds its whole
+encoding.  The store writes each document to a temporary file while
+hashing it, then renames it to its content name, or drops it when a file
+of that name and size is already there; it rewrites the index only when
+an entry was added.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .chartower import (
     Automorphism,
@@ -30,15 +41,84 @@ from .words import Presentation, SurfacePresentation, Word
 
 SCHEMAS = ("subgroup/1", "tower/1", "vaut/1", "cycle/1", "ledger/1")
 
+# The C encoder with the canonical settings, for leaves and blocks.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Elements of a long list encoded in one call: a block of table rows is a
+# few kilobytes.
+_BLOCK = 256
+
+
+def _array(blocks: Iterable[list]) -> Iterator[str]:
+    """A JSON array given as consecutive non-empty blocks of its elements."""
+    sep = "["
+    for block in blocks:
+        yield sep + _encode(block)[1:-1]
+        sep = ","
+    yield "[]" if sep == "[" else "]"
+
+
+def _opens(value) -> bool:
+    """Whether ``_text`` splits ``value``: it is, or holds, a list longer
+    than ``_BLOCK`` or a list of objects."""
+    if isinstance(value, dict):
+        return any(_opens(item) for item in value.values())
+    if isinstance(value, list):
+        return len(value) > _BLOCK or (bool(value) and isinstance(value[0], dict))
+    return False
+
+
+def _text(value) -> Iterator[str]:
+    """The canonical JSON text of ``value`` in pieces, without the newline.
+
+    Whatever holds no long list and no list of objects (a table of at most
+    ``_BLOCK`` rows, say) is one piece from the C encoder, as is an object
+    whose keys json itself must coerce or refuse.
+    """
+    if not _opens(value) or (
+        isinstance(value, dict) and not all(isinstance(key, str) for key in value)
+    ):
+        yield _encode(value)
+    elif isinstance(value, dict):
+        sep = "{"
+        for key in sorted(value):
+            item = value[key]
+            if _opens(item):
+                yield sep + _encode(key) + ":"
+                yield from _text(item)
+            else:
+                yield sep + _encode({key: item})[1:-1]
+            sep = ","
+        yield "}"
+    elif len(value) > _BLOCK:
+        yield from _array(
+            value[start : start + _BLOCK] for start in range(0, len(value), _BLOCK)
+        )
+    else:
+        sep = "["
+        for item in value:
+            yield sep
+            yield from _text(item)
+            sep = ","
+        yield "]"
+
+
+def _pieces(doc) -> Iterator[bytes]:
+    """``canonical_json_bytes(doc)`` in pieces: an unsplit value with its
+    key, a key, a bracket, or a block of a long list."""
+    for piece in _text(doc):
+        yield piece.encode("utf-8")
+    yield b"\n"
+
 
 def canonical_json_bytes(doc: dict) -> bytes:
-    return (
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return b"".join(_pieces(doc))
 
 
 def content_hash(doc: dict) -> str:
-    return hashlib.sha256(canonical_json_bytes(doc)).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _pieces(doc):
+        digest.update(piece)
+    return digest.hexdigest()
 
 
 def _require(doc: dict, key: str, kind: type):
@@ -368,23 +448,88 @@ def load_doc(path: Union[str, Path]) -> dict:
     return doc
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` in one step: readers see old or new bytes.
-
-    The temporary file sits in the same directory, so ``os.replace`` is a
-    rename within one file system.  A failed write raises ``SchemaError``
-    naming ``path``.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _unlink(path: str) -> None:
     try:
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _spill(root: Path, pieces: Iterable[bytes]) -> tuple[str, str, int]:
+    """Write ``pieces`` to a new temporary file in ``root``, hashing them.
+
+    Returns the file, the SHA-256 hex digest of its bytes and its size.
+    The name holds the process id and random bytes, so calls in progress
+    at once (say, a store nested in another store's document generator)
+    never share a temporary file.  On failure the file is removed.  Paths
+    here are plain strings: ``pathlib`` interns every name it parses, which
+    for a batch of documents is one more table of their names.
+    """
+    tmp = os.path.join(root, f".{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    digest = hashlib.sha256()
+    size = 0
+    try:
+        with open(tmp, "wb") as handle:
+            for piece in pieces:
+                handle.write(piece)
+                digest.update(piece)
+                size += len(piece)
+    except BaseException:
+        _unlink(tmp)
+        raise
+    return tmp, digest.hexdigest(), size
+
+
+def _rename(tmp: str, path: Union[str, Path]) -> None:
+    """Move ``tmp`` onto ``path``; remove ``tmp`` if that fails."""
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        _unlink(tmp)
+        raise
+
+
+def _write_atomic(path: Path, pieces: Iterable[bytes]) -> None:
+    """Replace ``path`` with the bytes of ``pieces`` in one step.
+
+    Readers see the old bytes or the new: the temporary file sits in the
+    same directory, so ``os.replace`` is a rename within one file system.
+    A failed write raises ``SchemaError`` naming ``path``.
+    """
+    try:
+        tmp, _, _ = _spill(path.parent, pieces)
+        _rename(tmp, path)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
+def _is_copy(path: str, size: int) -> bool:
+    """Whether ``path`` is already a regular file of ``size`` bytes."""
+    try:
+        return os.path.isfile(path) and os.path.getsize(path) == size
+    except OSError:
+        return False
+
+
+def _store_file(root: Path, stem: str, doc: dict) -> str:
+    """Write ``doc`` under its content name in ``root``; return that name.
+
+    A regular file of that name and size already holds these bytes (the
+    name fixes them, up to a collision in 64 bits of SHA-256), so it is
+    kept and the new copy dropped: a rerun replaces no document.
+    """
+    path = ""
+    try:
+        tmp, digest, size = _spill(root, _pieces(doc))
+        name = f"{stem}-{digest[:16]}.json"
+        path = os.path.join(root, name)
+        if _is_copy(path, size):
+            os.unlink(tmp)
+        else:
+            _rename(tmp, path)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path or root}: {exc}") from exc
+    return name
 
 
 def _index_stamp(path: Path) -> Optional[tuple[int, int, int]]:
@@ -416,42 +561,51 @@ def _read_index(path: Path) -> dict[str, str]:
     return out
 
 
+def _index_pieces(entries: dict[str, str]) -> Iterator[bytes]:
+    """The workspace-index/1 document of ``entries`` (file -> schema), in
+    canonical pieces built a block of entries at a time."""
+    files = sorted(entries)
+    blocks = (
+        [{"file": f, "schema": entries[f]} for f in files[start : start + _BLOCK]]
+        for start in range(0, len(files), _BLOCK)
+    )
+    yield b'{"entries":'
+    for piece in _array(blocks):
+        yield piece.encode("utf-8")
+    yield b',"schema":"workspace-index/1"}\n'
+
+
 def store_docs(root: Path, docs: Iterable[dict]) -> list[str]:
     """Write documents under their content hashes; update the index once.
 
     Returns the stored file names, in the order of ``docs``.  ``docs`` may
-    be a generator, so a large batch need not be held in memory at once.
-    If it raises partway, the index still lists exactly the documents
-    written so far, together with the entries it already had.  If another
-    writer replaced the index meanwhile, its entries are read again and
-    kept.
+    be a generator, so a large batch need not be held in memory at once;
+    each document is encoded in pieces straight into its file.  If it
+    raises partway, the index still lists exactly the documents written so
+    far, together with the entries it already had.  If another writer
+    replaced the index meanwhile, its entries are read again and kept.  A
+    batch whose documents the index already lists leaves it untouched.
     """
     index_path = root / INDEX_NAME
     stamp = _index_stamp(index_path)
     entries = _read_index(index_path)
     names: list[str] = []
+    changed = False
     try:
         for doc in docs:
             schema = doc.get("schema")
             if schema not in SCHEMAS:
                 raise SchemaError(f"refusing to store unknown schema {schema!r}")
-            data = canonical_json_bytes(doc)
-            stem = schema.split("/")[0]
-            name = f"{stem}-{hashlib.sha256(data).hexdigest()[:16]}.json"
-            _write_atomic(root / name, data)
-            entries[name] = schema
+            name = _store_file(root, schema.split("/")[0], doc)
+            if entries.get(name) != schema:
+                entries[name] = schema
+                changed = True
             names.append(name)
     finally:
-        if names:
+        if changed:
             if _index_stamp(index_path) != stamp:
                 entries = {**_read_index(index_path), **entries}
-            index_doc = {
-                "schema": "workspace-index/1",
-                "entries": [
-                    {"file": f, "schema": s} for f, s in sorted(entries.items())
-                ],
-            }
-            _write_atomic(index_path, canonical_json_bytes(index_doc))
+            _write_atomic(index_path, _index_pieces(entries))
     return names
 
 
