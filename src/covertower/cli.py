@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .chartower import (
     CharSubgroup,
@@ -28,16 +28,6 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .cosets import Subgroup, intersect
 from .enumerate import low_index_subgroups
 from .errors import CovertowerError, InconsistentInput, SchemaError
-from .genus_one import (
-    RationalMobius,
-    UpperHalfPoint,
-    act,
-    covering_modulus_map,
-    dense_orbit_approx,
-    hnf,
-    i_point,
-    mobius_from_rational_matrix,
-)
 from .io import (
     _pieces,
     _write_atomic,
@@ -55,19 +45,13 @@ from .io import (
     vaut_from_doc,
     workspace_dir,
 )
-from .ledger import ledger_report
-from .vaut import (
-    bounded_mcl_search,
-    compose,
-    cycle_from_subgroups,
-    germ_equals,
-    identity_vaut,
-    inverse,
-    reduce_cycle,
-    from_two_arrow,
-    validate_vaut,
-)
 from .words import SurfacePresentation
+
+# Every workspace verb loads the modules above.  ``vaut``, ``genus_one``
+# and ``ledger`` are imported by the handlers and converters of their own
+# verbs, so a command loads only the layers it runs.
+if TYPE_CHECKING:
+    from .genus_one import RationalMobius, UpperHalfPoint
 
 EXIT_OK = 0
 
@@ -150,6 +134,8 @@ _POINT_RE = re.compile(r"^(?P<re>[^+]+?)(?P<sign>[+-])(?P<im>[^+-]+)i$")
 
 
 def _point(text: str) -> UpperHalfPoint:
+    from .genus_one import UpperHalfPoint
+
     if "," in text:
         parts = text.split(",")
         if len(parts) != 2:
@@ -350,6 +336,8 @@ def _parse_m_range(text: str) -> range:
 
 
 def _cmd_ledger_check(args) -> int:
+    from .ledger import ledger_report
+
     root = workspace_dir(args.workspace)
     tower = tower_from_doc(load_doc(_resolve(root, args.tower)))
     report = ledger_report(tower, args.m_range, tower_ref=Path(args.tower).name)
@@ -359,12 +347,16 @@ def _cmd_ledger_check(args) -> int:
 
 
 def _load_vaut(root: Path, raw: str):
+    from .vaut import validate_vaut
+
     v = vaut_from_doc(load_doc(_resolve(root, raw)))
     validate_vaut(v)
     return v
 
 
 def _cmd_vaut_identity(args) -> int:
+    from .vaut import identity_vaut
+
     root = workspace_dir(args.workspace)
     sub = _load_subgroup(root, args.subgroup)
     v = identity_vaut(sub)
@@ -374,6 +366,8 @@ def _cmd_vaut_identity(args) -> int:
 
 
 def _cmd_vaut_compose(args) -> int:
+    from .vaut import compose
+
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     v = _load_vaut(root, args.first)
@@ -385,6 +379,8 @@ def _cmd_vaut_compose(args) -> int:
 
 
 def _cmd_vaut_invert(args) -> int:
+    from .vaut import inverse
+
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     v = _load_vaut(root, args.vaut)
@@ -395,6 +391,8 @@ def _cmd_vaut_invert(args) -> int:
 
 
 def _cmd_vaut_germ_eq(args) -> int:
+    from .vaut import germ_equals
+
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     v = _load_vaut(root, args.first)
@@ -404,6 +402,8 @@ def _cmd_vaut_germ_eq(args) -> int:
 
 
 def _cmd_vaut_reduce(args) -> int:
+    from .vaut import cycle_from_subgroups, from_two_arrow, reduce_cycle
+
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     hops = [_load_subgroup(root, raw) for raw in args.subgroups]
@@ -425,6 +425,8 @@ def _cmd_vaut_reduce(args) -> int:
 
 
 def _cmd_vaut_mcl_search(args) -> int:
+    from .vaut import bounded_mcl_search
+
     root = workspace_dir(args.workspace)
     cfg = _config_of(args)
     v = _load_vaut(root, args.vaut)
@@ -438,6 +440,8 @@ def _cmd_vaut_mcl_search(args) -> int:
 
 
 def _cmd_genus1_modulus_map(args) -> int:
+    from .genus_one import covering_modulus_map, hnf
+
     lattice = hnf(args.lattice)
     m = covering_modulus_map(lattice)
     _emit({"lattice": [list(r) for r in lattice.entries], "matrix": _matrix_out(m)})
@@ -445,6 +449,8 @@ def _cmd_genus1_modulus_map(args) -> int:
 
 
 def _cmd_genus1_act(args) -> int:
+    from .genus_one import act, mobius_from_rational_matrix
+
     m = mobius_from_rational_matrix(args.matrix)
     image = act(m, args.point)
     _emit({"matrix": _matrix_out(m), "image": _point_out(image)})
@@ -452,6 +458,8 @@ def _cmd_genus1_act(args) -> int:
 
 
 def _cmd_genus1_orbit(args) -> int:
+    from .genus_one import act, dense_orbit_approx, i_point
+
     if args.eps <= 0:
         raise UsageError("--eps must be positive")
     source = args.source if args.source is not None else i_point()

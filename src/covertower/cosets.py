@@ -385,12 +385,20 @@ def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
 
 def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subgroup:
     """Intersection: the input of larger index if one coset-map walk puts it
-    in the other, else the orbit of (0, 0) in the product action."""
+    in the other, else the orbit of (0, 0) in the product action.
+
+    Past ``max_index`` the overflow names both input indices, smaller
+    first, and what is known of the intersection's: at least the larger
+    input's when that is already past the cap, else a multiple of their lcm
+    and at most their product."""
     if a.pres != b.pres:
         raise InconsistentInput("subgroups of different presentations")
     fine, coarse = (a, b) if a.index >= b.index else (b, a)
     if max_index is not None and fine.index > max_index:  # the result lies in ``fine``
-        raise IntersectionIndexOverflow(f"intersection exceeds index cap {max_index}")
+        raise IntersectionIndexOverflow(
+            f"intersection of subgroups of index {coarse.index} and {fine.index} "
+            f"has index at least {fine.index}, above index cap {max_index}"
+        )
     if _coset_map(fine, coarse, 0) is not None:
         return fine
     # The product action of two valid tables satisfies every relator.
@@ -404,7 +412,9 @@ def intersect(a: Subgroup, b: Subgroup, max_index: Optional[int] = None) -> Subg
         )
     except IndexOverflow:
         raise IntersectionIndexOverflow(
-            f"intersection exceeds index cap {max_index}"
+            f"intersection of subgroups of index {coarse.index} and {fine.index} "
+            f"has index a multiple of {lcm(coarse.index, fine.index)} and at most "
+            f"{coarse.index * fine.index}, above index cap {max_index}"
         ) from None
     return Subgroup._trusted(a.pres, rows)
 

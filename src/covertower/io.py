@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .chartower import (
     Automorphism,
@@ -36,8 +36,10 @@ from .chartower import (
 )
 from .cosets import Subgroup, covering_genus, factor_through
 from .errors import SchemaError
-from .vaut import TwoArrowCycle, VirtualAutomorphism
 from .words import Presentation, SurfacePresentation, Word
+
+if TYPE_CHECKING:
+    from .vaut import TwoArrowCycle, VirtualAutomorphism
 
 SCHEMAS = ("subgroup/1", "tower/1", "vaut/1", "cycle/1", "ledger/1")
 
@@ -370,7 +372,8 @@ def tower_dot(tower: TowerGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Virtual automorphisms and cycles.
+# Virtual automorphisms and cycles.  The readers import ``vaut`` when they
+# run, so the store and the subgroup and tower codecs do not load it.
 
 
 def vaut_doc(v: VirtualAutomorphism) -> dict:
@@ -386,6 +389,8 @@ def vaut_doc(v: VirtualAutomorphism) -> dict:
 
 
 def vaut_from_doc(doc: dict) -> VirtualAutomorphism:
+    from .vaut import VirtualAutomorphism
+
     _check_schema(doc, "vaut/1")
     domain = subgroup_from_doc(_require(doc, "domain", dict))
     codomain = subgroup_from_doc(_require(doc, "codomain", dict))
@@ -410,6 +415,8 @@ def cycle_doc(cycle: TwoArrowCycle) -> dict:
 
 
 def cycle_from_doc(doc: dict) -> TwoArrowCycle:
+    from .vaut import TwoArrowCycle
+
     _check_schema(doc, "cycle/1")
     alpha = subgroup_from_doc(_require(doc, "alpha", dict))
     beta = subgroup_from_doc(_require(doc, "beta", dict))

@@ -394,7 +394,8 @@ def test_compose_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
     assert out == ""
     assert json.loads(err) == {
         "error": "IntersectionIndexOverflow",
-        "message": "intersection exceeds index cap 100",
+        "message": "intersection of subgroups of index 16 and 81 has index a "
+        "multiple of 1296 and at most 1296, above index cap 100",
     }
 
 
@@ -415,7 +416,8 @@ def test_germ_eq_past_the_index_cap_exits_five(tmp_path, capsys, pres2):
     assert out == ""
     assert json.loads(err) == {
         "error": "IntersectionIndexOverflow",
-        "message": "intersection exceeds index cap 100",
+        "message": "intersection of subgroups of index 16 and 81 has index a "
+        "multiple of 1296 and at most 1296, above index cap 100",
     }
     assert _run_json(capsys, "--workspace", ws, "vaut", "germ-eq", *germs) == {"germEqual": True}
 

@@ -9,6 +9,7 @@ is an independent check of the canonical order and of the tables
 themselves.
 """
 
+import math
 import random
 from collections import deque
 
@@ -49,6 +50,13 @@ def _old_intersect_table(a, b, max_index=None):
     (rows_a, base_a), (rows_b, base_b) = a, b
     inv_a, inv_b = inverse_rows(rows_a), inverse_rows(rows_b)
     k = len(rows_a[0])
+    small, large = sorted((len(rows_a), len(rows_b)))
+    inputs = f"intersection of subgroups of index {small} and {large}"
+    # The intersection lies in each input, so its index is at least theirs.
+    if max_index is not None and large > max_index:
+        raise IntersectionIndexOverflow(
+            f"{inputs} has index at least {large}, above index cap {max_index}"
+        )
     start = (base_a, base_b)
     label = {start: 0}
     order = [start]
@@ -63,7 +71,8 @@ def _old_intersect_table(a, b, max_index=None):
             if pair not in label:
                 if max_index is not None and len(order) >= max_index:
                     raise IntersectionIndexOverflow(
-                        f"intersection exceeds index cap {max_index}"
+                        f"{inputs} has index a multiple of {math.lcm(small, large)} "
+                        f"and at most {small * large}, above index cap {max_index}"
                     )
                 label[pair] = len(order)
                 order.append(pair)

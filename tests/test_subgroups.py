@@ -271,10 +271,13 @@ def test_intersection_of_nested_inputs_is_the_smaller_input(pres2, mod4_cover, m
         assert intersect(a, b) is a
         assert intersect(b, a) is (a if b.index < a.index else b)
         assert intersect(a, b, 256) is a
-    with pytest.raises(IntersectionIndexOverflow, match="^intersection exceeds index cap 255$"):
-        intersect(mod2, mod4_cover, 255)
-    with pytest.raises(IntersectionIndexOverflow, match="^intersection exceeds index cap 255$"):
-        intersect(mod4_cover, mod4_cover, 255)
+    for other in (mod2, mod4_cover):
+        message = (
+            f"^intersection of subgroups of index {other.index} and 256 "
+            "has index at least 256, above index cap 255$"
+        )
+        with pytest.raises(IntersectionIndexOverflow, match=message):
+            intersect(other, mod4_cover, 255)
 
 
 def test_intersection_table_is_built_canonical(pres2):

@@ -823,15 +823,25 @@ def test_reduction_composes_nothing(reduction_cycles, monkeypatch):
 
 
 def test_reduction_past_the_cap_is_refused_as_before(reduction_cycles):
-    # A zigzag meets in index 4 and the last 5-hop cycle in index 8.
-    for path, cap in ((reduction_cycles[0], 2), (reduction_cycles[-1], 4)):
+    # A zigzag meets in index 4 and the last 5-hop cycle in index 8.  Both
+    # reductions name the same pair of indices: an index-4 leg is past the
+    # cap of 2, and the orbit of two index-4 legs grows past 4.
+    cases = (
+        (reduction_cycles[0], 2, "index 2 and 4 has index at least 4, above index cap 2"),
+        (
+            reduction_cycles[-1],
+            4,
+            "index 4 and 4 has index a multiple of 4 and at most 16, above index cap 4",
+        ),
+    )
+    for path, cap, message in cases:
         config = RunConfig(max_result_index=cap)
         for order in ("left", "right"):
             with pytest.raises(IntersectionIndexOverflow) as old:
                 _composed_reduction(path, order, config)
             with pytest.raises(IntersectionIndexOverflow) as new:
                 reduce_cycle(path, order, config)
-            assert str(new.value) == str(old.value) == f"intersection exceeds index cap {cap}"
+            assert str(new.value) == str(old.value) == f"intersection of subgroups of {message}"
 
 
 def test_mcl_witness_and_search(pres, h1):
