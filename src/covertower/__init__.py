@@ -39,7 +39,6 @@ _EXPORTS = {
         "IntersectionIndexOverflow",
         "NotAnIsomorphism",
         "NotInvariant",
-        "NotInvertible",
         "NotNormal",
         "NotTransitive",
         "RelatorViolated",

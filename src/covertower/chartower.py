@@ -73,28 +73,25 @@ class Automorphism:
     """Automorphism of the ambient surface group, given on generators.
 
     ``images`` are the generators' images and ``inverse_images`` those of
-    the inverse map.  Construction checks both directions with
-    ``check_automorphism``: each kills the relator, and each undoes the
-    other on every generator.  A map that fails, or that has no inverse
-    images (None), raises ValueError, so every instance is an automorphism.
+    the inverse map.  Construction runs ``check_automorphism`` (the images
+    kill the relator, and the map undoes the inverse on every generator),
+    and a map that fails raises ValueError, so every instance is an
+    automorphism.
     """
 
     pres: SurfacePresentation
     images: tuple[Word, ...]
-    inverse_images: Optional[tuple[Word, ...]]
+    inverse_images: tuple[Word, ...]
     name: str = ""
 
     def __post_init__(self) -> None:
         k = self.pres.generator_count
         if len(self.images) != k:
             raise ValueError("need one image per generator")
-        for w in self.images:
+        if len(self.inverse_images) != k:
+            raise ValueError("need one inverse image per generator")
+        for w in (*self.images, *self.inverse_images):
             validate_word(self.pres, w)
-        if self.inverse_images is not None:
-            if len(self.inverse_images) != k:
-                raise ValueError("need one inverse image per generator")
-            for w in self.inverse_images:
-                validate_word(self.pres, w)
         check_automorphism(self)
 
     @cached_property
@@ -109,22 +106,20 @@ def apply_automorphism(phi: Automorphism, w: Iterable[int], inverse: bool = Fals
 
 def check_automorphism(phi: Automorphism) -> None:
     """Raise ValueError unless phi's images and inverse images are mutually
-    inverse automorphisms; ``Automorphism`` runs it on construction."""
+    inverse automorphisms; ``Automorphism`` runs it on construction.
+
+    Two checks suffice: the images kill the relator, and phi(psi(x_j)) = x_j
+    for every generator, psi the inverse images.  The first makes phi an
+    endomorphism, and the second makes it onto.  Surface groups are Hopfian
+    (Mal'cev, 1940), so phi is an automorphism, and then each psi(x_j) is
+    phi^-1(x_j): psi kills the relator and undoes phi with no further check.
+    """
     pres = phi.pres
     for r in pres.relators:
         if not is_identity(pres, apply_automorphism(phi, r)):
             raise ValueError("images do not kill the relator")
-    if phi.inverse_images is None:
-        raise ValueError("no inverse images supplied")
-    for r in pres.relators:
-        if not is_identity(pres, apply_automorphism(phi, r, inverse=True)):
-            raise ValueError("inverse images do not kill the relator")
-    for j in range(1, pres.generator_count + 1):
-        round_trip = apply_automorphism(phi, phi.images[j - 1], inverse=True)
-        if not is_identity(pres, concat(round_trip, (-j,))):
-            raise ValueError("inverse does not undo the automorphism")
-        round_trip = apply_automorphism(phi, phi.inverse_images[j - 1])
-        if not is_identity(pres, concat(round_trip, (-j,))):
+    for j, w in enumerate(phi.inverse_images, 1):
+        if not is_identity(pres, concat(apply_automorphism(phi, w), (-j,))):
             raise ValueError("automorphism does not undo the inverse")
 
 

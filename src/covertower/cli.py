@@ -382,9 +382,7 @@ def _cmd_vaut_invert(args) -> int:
     from .vaut import inverse
 
     root = workspace_dir(args.workspace)
-    cfg = _config_of(args)
-    v = _load_vaut(root, args.vaut)
-    out = inverse(v, cfg)
+    out = inverse(_load_vaut(root, args.vaut))
     name = store_doc(root, vaut_doc(out)).name
     _emit({"file": name, "domainIndex": out.domain.index})
     return EXIT_OK

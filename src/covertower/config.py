@@ -1,4 +1,9 @@
-"""Run configuration: budgets and caps for searches and constructions."""
+"""Run configuration: budgets and caps for searches and constructions.
+
+A config document sets any of ``RunConfig``'s fields, and ``from_json``
+refuses every other key.  So a file that still sets a retired field fails
+loudly instead of being ignored.
+"""
 
 from __future__ import annotations
 
@@ -14,19 +19,15 @@ class RunConfig:
     # Cap on the index of any constructed subgroup (intersections, homology
     # kernels, cores).
     max_result_index: int = 10_000
-    # Bounded product search used when inverting a witness-free virtual
-    # automorphism: maximum word length in the given generators.
-    max_solve_length: int = 3
     # Seed recorded in manifests; all operations are deterministic, the seed
     # only feeds test-style sampling helpers.
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Every field but the seed is a cap; a solve length of 0 is allowed.
+        # Every field but the seed is a cap.
         for name, value in asdict(self).items():
-            least = 0 if name == "max_solve_length" else 1
-            if name != "seed" and (type(value) is not int or value < least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            if name != "seed" and (type(value) is not int or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -61,12 +61,6 @@ class SingularMatrix(CovertowerError):
     exit_code = 4
 
 
-class NotInvertible(CovertowerError):
-    """No inverse witness is available and bounded solving failed."""
-
-    exit_code = 4
-
-
 class IndexOverflow(CovertowerError):
     """A constructed subgroup would exceed the configured index cap."""
 

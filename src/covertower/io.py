@@ -180,9 +180,7 @@ def _automorphism_from(raw, pres: SurfacePresentation) -> Automorphism:
         raise SchemaError("automorphism entries must be objects")
     name = _require(raw, "name", str)
     images = _words_from(_require(raw, "images", list), pres)
-    inverse = None
-    if "inverseImages" in raw:
-        inverse = _words_from(raw["inverseImages"], pres)
+    inverse = _words_from(_require(raw, "inverseImages", list), pres)
     try:
         return Automorphism(pres, images, inverse, name)
     except ValueError as exc:
@@ -377,15 +375,13 @@ def tower_dot(tower: TowerGraph) -> str:
 
 
 def vaut_doc(v: VirtualAutomorphism) -> dict:
-    doc = {
+    return {
         "schema": "vaut/1",
         "domain": subgroup_doc(v.domain),
         "codomain": subgroup_doc(v.codomain),
         "images": _words_doc(v.images),
+        "inverseImages": _words_doc(v.inverse_images),
     }
-    if v.inverse_images is not None:
-        doc["inverseImages"] = _words_doc(v.inverse_images)
-    return doc
 
 
 def vaut_from_doc(doc: dict) -> VirtualAutomorphism:
@@ -395,9 +391,7 @@ def vaut_from_doc(doc: dict) -> VirtualAutomorphism:
     domain = subgroup_from_doc(_require(doc, "domain", dict))
     codomain = subgroup_from_doc(_require(doc, "codomain", dict))
     images = _words_from(_require(doc, "images", list), domain.pres)
-    inverse = None
-    if "inverseImages" in doc:
-        inverse = _words_from(doc["inverseImages"], domain.pres)
+    inverse = _words_from(_require(doc, "inverseImages", list), domain.pres)
     return VirtualAutomorphism(domain, codomain, images, inverse)
 
 

@@ -15,20 +15,14 @@ genus h, and surface groups are Hopfian (Mal'cev, 1940): a homomorphism of
 one onto the other is an isomorphism.  If the images satisfy the rewritten
 relators and lie in the codomain K, v is a homomorphism into K; inverse
 witnesses with v(w_t) = t for each Schreier generator t of K make it onto,
-and then each w_t is v^-1(t).  Without witnesses, generation is certified
-with no coset enumeration: the image M of a genus-h surface group is of
-finite index in K or free of rank at most h (a free quotient of a closed
-surface group has rank at most half its first Betti number, by the
-isotropy of the pulled-back cup product).  Images spanning at least h+1
-dimensions of H_1(K, Z/2) exclude the free case, and finite index forces
-M = K by comparing first Betti numbers.
+and then each w_t is v^-1(t).  So every germ carries its witnesses, and
+its inverse is the same data read the other way.
 
 ``validate_vaut`` rewrites each image and each witness once, for
-membership and for the round trip or the span.  It runs where a germ from
-outside enters: ``from_two_arrow`` on a cycle that a caller built or
-loaded, the witness-free branch of ``inverse`` (its witnesses come from a
-search) and documents loaded by the CLI.  The germs the library builds go
-through the trusted ``_certified`` unchecked: ``identity_vaut``,
+membership and for the round trip.  It runs where a germ from outside
+enters: ``from_two_arrow`` on a cycle that a caller built or loaded, and
+documents loaded by the CLI.  The germs the library builds go through the
+trusted ``_certified`` unchecked: ``identity_vaut``,
 ``vaut_from_automorphism`` (a checked ``Automorphism`` and its inverse
 along the BFS trees of the domain and of a fully constructed codomain) and
 ``compose`` (the isomorphism v^-1(overlap) -> w(overlap) composed from
@@ -45,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -65,13 +58,10 @@ from .cosets import (
     _flatten_rows,
 )
 from .chartower import Automorphism
-from .errors import BudgetExceeded, IdentificationInvalid, IndexOverflow, NotInvertible
+from .errors import BudgetExceeded, IdentificationInvalid, IndexOverflow
 from .words import (
     SurfacePresentation,
-    GenericPresentation,
     Word,
-    _exponent_row_mod2,
-    _f2_echelon,
     _PieceTable,
     _reduced_product,
     inverse_word,
@@ -87,13 +77,13 @@ class VirtualAutomorphism:
     ``images[i]`` is the image of the i-th Schreier generator of the
     (canonical) domain, written in ambient letters.  ``inverse_images``
     are the corresponding witnesses for the codomain's Schreier
-    generators; constructors in this module always supply them.
+    generators: the images of the inverse germ.
     """
 
     domain: Subgroup
     codomain: Subgroup
     images: tuple[Word, ...]
-    inverse_images: Optional[tuple[Word, ...]] = None
+    inverse_images: tuple[Word, ...]
     _reduced = False  # set by ``_certified``: every word is freely reduced
 
     @cached_property
@@ -108,7 +98,7 @@ class VirtualAutomorphism:
 
 
 # ---------------------------------------------------------------------------
-# Mod-2 homology of a cover, used for the generation certificate.
+# Evaluation and validation.
 
 
 def _rewritten_members(sub: Subgroup, words: Sequence[Word]) -> Optional[list[Word]]:
@@ -122,28 +112,6 @@ def _rewritten_members(sub: Subgroup, words: Sequence[Word]) -> Optional[list[Wo
             return None
         out.append(rewritten)
     return out
-
-
-def _generation_certified(pres: GenericPresentation, rewritten: Sequence[Word]) -> bool:
-    """True iff members of a subgroup with Reidemeister-Schreier
-    presentation ``pres``, given rewritten, provably generate it.
-
-    The certificate is the span condition described in the module
-    docstring; it passes for any generating set and never passes for a
-    non-generating image of an equal-genus surface group.
-    """
-    rel_rows = [_exponent_row_mod2(r) for r in pres.relators]
-    rel_rank = len(_f2_echelon(rel_rows))
-    h1_dim = pres.generator_count - rel_rank
-    assert h1_dim % 2 == 0, "covers of surfaces have even first Betti number"
-    genus = h1_dim // 2
-    img_rows = [_exponent_row_mod2(w) for w in rewritten]
-    span = len(_f2_echelon(rel_rows + img_rows)) - rel_rank
-    return span >= genus + 1
-
-
-# ---------------------------------------------------------------------------
-# Evaluation and validation.
 
 
 def apply_vaut(v: VirtualAutomorphism, w: Iterable[int]) -> Word:
@@ -160,9 +128,9 @@ def _images_on(v: VirtualAutomorphism, sub: Subgroup) -> Iterator[Word]:
 
 def validate_vaut(v: VirtualAutomorphism) -> None:
     """Raise IdentificationInvalid unless v is a certified isomorphism: by
-    the relators and the round trip v(w_t) = t, or without witnesses by the
-    span.  Words are compared in the base surface group, so the domain must
-    live over a ``SurfacePresentation`` (ValueError otherwise).
+    the relators and the round trip v(w_t) = t.  Words are compared in the
+    base surface group, so the domain must live over a
+    ``SurfacePresentation`` (ValueError otherwise).
     """
     base = v.domain.pres
     if not isinstance(base, SurfacePresentation):
@@ -177,18 +145,11 @@ def validate_vaut(v: VirtualAutomorphism) -> None:
         )
     if len(v.images) != len(schreier_generators(dom)):
         raise IdentificationInvalid("one image per domain Schreier generator required")
-    images = _rewritten_members(cod, v.images)
-    if images is None:
+    if _rewritten_members(cod, v.images) is None:
         raise IdentificationInvalid("an image leaves the codomain")
-    rs = reidemeister_schreier(dom)
-    for r in rs.relators:
+    for r in reidemeister_schreier(dom).relators:
         if not words_equal(base, substitute(v._pieces, r), ()):
             raise IdentificationInvalid("images violate a rewritten relator")
-    if v.inverse_images is None:
-        cod_rs = rs if cod.table == dom.table else reidemeister_schreier(cod)
-        if not _generation_certified(cod_rs, images):
-            raise IdentificationInvalid("images are not certified to generate the codomain")
-        return
     cogens = schreier_generators(cod)
     if len(v.inverse_images) != len(cogens):
         raise IdentificationInvalid("one witness per codomain Schreier generator")
@@ -214,9 +175,10 @@ class TwoArrowCycle:
     """Two covering arrows out of a common cover, plus identification data.
 
     ``forward`` gives, for each Schreier generator of ``alpha``, its image
-    in ``beta`` as an ambient word; ``backward`` goes the other way.  When
-    alpha equals beta the identity identification may be left implicit, or
-    given as the Schreier generators both ways, as ``reduce_cycle`` does.
+    in ``beta`` as an ambient word; ``backward`` goes the other way, and
+    one is given exactly when the other is.  When alpha equals beta the
+    identity identification may be left implicit, or given as the Schreier
+    generators both ways, as ``reduce_cycle`` does.
     """
 
     alpha: Subgroup
@@ -236,6 +198,8 @@ def from_two_arrow(cycle: TwoArrowCycle) -> VirtualAutomorphism:
         raise IdentificationInvalid(
             "covers of different degree admit no identification"
         )
+    if (cycle.forward is None) != (cycle.backward is None):
+        raise IdentificationInvalid("forward and backward words must be given together")
     if cycle.forward is None and alpha != beta:
         raise IdentificationInvalid("identification must be supplied for distinct covers")
     if cycle.forward is None or (
@@ -323,57 +287,9 @@ def preimage_subgroup(v: VirtualAutomorphism, s: Subgroup) -> Subgroup:
     return Subgroup(dom.pres, _flatten_rows(dom, lambda c, g: s.act_word(c, v._pieces[g])))
 
 
-def inverse(
-    v: VirtualAutomorphism, config: Optional[RunConfig] = None
-) -> VirtualAutomorphism:
-    """Swap domain and codomain using the inverse witnesses.
-
-    Without witnesses a bounded product search tries to express each
-    codomain Schreier generator in the images; small cases resolve
-    quickly, and past 200,000 Dehn comparisons or the length bound it
-    raises NotInvertible, saying how far it got.
-    """
-    cfg = config or DEFAULT_CONFIG
-    if v.inverse_images is not None:
-        return v._swapped
-    pres = v.domain.pres
-    if not isinstance(pres, SurfacePresentation):
-        raise NotInvertible("witness-free inversion needs the base surface group")
-    dom, cod = v.domain, v.codomain
-    targets = schreier_generators(cod)
-    m = len(v.images)
-    budget = 200_000  # Dehn comparisons of a product with an unsolved target
-    alphabet = [(e, v._pieces[e]) for e in [*range(1, m + 1), *range(-1, -m - 1, -1)]]
-    dom_pieces = _PieceTable(schreier_generators(dom))
-    solved: list[Optional[Word]] = [None] * len(targets)
-    frontier: list[tuple[tuple[int, ...], Word]] = [((), ())]
-    compared = length = 0
-
-    def refusal(why: str) -> NotInvertible:
-        found = len(targets) - solved.count(None)
-        return NotInvertible(
-            f"{why}: {compared} comparisons, words up to length {length}, "
-            f"{found} of {len(targets)} targets solved"
-        )
-
-    while None in solved and length < cfg.max_solve_length:
-        length += 1
-        new_frontier = []
-        for (prefix, value), (sym, img) in product(frontier, alphabet):
-            word, val = prefix + (sym,), _reduced_product((value, img))
-            for t_i in [i for i, w in enumerate(solved) if w is None]:
-                if compared == budget:
-                    raise refusal("bounded inverse search exhausted its budget")
-                compared += 1
-                if words_equal(pres, val, targets[t_i]):
-                    solved[t_i] = substitute(dom_pieces, word)
-            new_frontier.append((word, val))
-        frontier = new_frontier
-    if None in solved:
-        raise refusal("no inverse witness found within the length bound")
-    out = VirtualAutomorphism(cod, dom, tuple(solved), v.images)  # type: ignore[arg-type]
-    validate_vaut(out)
-    return out
+def inverse(v: VirtualAutomorphism) -> VirtualAutomorphism:
+    """Swap domain and codomain: the witnesses are the inverse's images."""
+    return v._swapped
 
 
 def _certified(
@@ -410,8 +326,8 @@ def compose(
     overlap = intersect(v.codomain, w.domain, cfg.max_result_index)
     new_domain = _held(preimage_subgroup(v, overlap), held)
     images = tuple(apply_vaut(w, x) for x in _images_on(v, new_domain))
-    w_inv = inverse(w, cfg)
-    v_inv = inverse(v, cfg)
+    w_inv = inverse(w)
+    v_inv = inverse(v)
     new_codomain = _held(preimage_subgroup(w_inv, overlap), held)
     inverse_images = tuple(apply_vaut(v_inv, y) for y in _images_on(w_inv, new_codomain))
     return _certified(new_domain, new_codomain, images, inverse_images)
@@ -528,23 +444,23 @@ def bounded_mcl_search(
     config: Optional[RunConfig] = None,
 ) -> Optional[Subgroup]:
     """Search iterated intersections of v-translates for a setwise-fixed
-    subgroup; None means no witness found at this depth, not a refutation."""
+    subgroup, the candidates at depths 0 to ``depth``; None means no
+    witness found at this depth, not a refutation.  A candidate past
+    ``max_result_index`` raises BudgetExceeded, saying how far it got."""
     cfg = config or DEFAULT_CONFIG
-    try:
-        v_inv = inverse(v, cfg)
-    except NotInvertible:
-        v_inv = None
+    v_inv = inverse(v)
     candidate = v.domain
-    for _ in range(max(depth, 0) + 1):
+    for reached in range(max(depth, 0) + 1):
+        if reached:
+            try:
+                # candidate lies in v.domain, the codomain of v_inv.
+                image = preimage_subgroup(v_inv, candidate)
+                candidate = intersect(candidate, image, cfg.max_result_index)
+            except IndexOverflow as exc:
+                raise BudgetExceeded(
+                    f"mcl search reached depth {reached - 1} of {depth} at a "
+                    f"candidate of index {candidate.index}: {exc}"
+                ) from exc
         if is_mcl_witness(v, candidate):
             return candidate
-        if v_inv is None:
-            return None
-        try:
-            # candidate lies in v.domain, the codomain of v_inv.
-            image = preimage_subgroup(v_inv, candidate)
-            candidate = intersect(candidate, image, cfg.max_result_index)
-        except IndexOverflow as exc:
-            raise BudgetExceeded(str(exc)) from exc
     return None
-

@@ -222,29 +222,8 @@ def words_equal(pres: SurfacePresentation, u: Iterable[int], v: Iterable[int]) -
     return u == v or is_identity(pres, u + inverse_word(v))
 
 
-
 # ---------------------------------------------------------------------------
-# Exponent sums mod 2 as bit rows (bit i for generator i+1), and over Z.
-
-
-def _exponent_row_mod2(w: Iterable[int]) -> int:
-    out = 0
-    for x in w:
-        out ^= 1 << (abs(x) - 1)
-    return out
-
-
-def _f2_echelon(rows: Iterable[int]) -> dict[int, int]:
-    """A basis of the F2 span of ``rows`` keyed by leading bit (size = rank)."""
-    basis: dict[int, int] = {}
-    for v in rows:
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = v
-                break
-            v ^= basis[lead]
-    return basis
+# Exponent sums over Z.
 
 
 def _diagonal_form(relators: Iterable[Word], k: int) -> tuple[list[int], list[list[int]]]:

@@ -33,6 +33,7 @@ from covertower import (
     homology_cover,
     inner_automorphism,
     intersect,
+    inverse_word,
     is_identity,
     is_invariant_under,
     is_normal,
@@ -71,12 +72,113 @@ def test_automorphisms_round_trip():
 
 
 def test_a_map_that_is_not_an_automorphism_is_not_constructed(pres2):
-    # Every generator to a1, both ways: the relator dies, but the "inverse"
-    # does not undo the map.  A map with no inverse images is refused too.
-    with pytest.raises(ValueError, match="^inverse does not undo the automorphism$"):
+    # One corruption per check.  a1 -> a1 a2 is onto, and its "inverse"
+    # a1 -> a1 a2^-1 passes the round trip, but the relator does not die.
+    # Every generator to a1, both ways: the relator dies, but the map does
+    # not undo the "inverse".
+    swap = ((3,), (4,), (1,), (2,))
+    with pytest.raises(ValueError, match="^need one image per generator$"):
+        Automorphism(pres2, swap[:3], swap, "short")
+    with pytest.raises(ValueError, match="^need one inverse image per generator$"):
+        Automorphism(pres2, swap, swap[:3], "short")
+    with pytest.raises(ValueError, match="^letter 5 out of range for 4 generators$"):
+        Automorphism(pres2, swap, swap[:3] + ((5,),), "letter")
+    with pytest.raises(ValueError, match="^images do not kill the relator$"):
+        Automorphism(pres2, ((1, 3), (2,), (3,), (4,)), ((1, -3), (2,), (3,), (4,)), "slide")
+    with pytest.raises(ValueError, match="^automorphism does not undo the inverse$"):
         Automorphism(pres2, ((1,),) * 4, ((1,),) * 4, "bogus")
-    with pytest.raises(ValueError, match="^no inverse images supplied$"):
-        Automorphism(pres2, ((3,), (4,), (1,), (2,)), None, "swap")
+
+
+def _twist(pres, i):
+    """The Dehn twist b_i -> b_i a_i about the curve a_i."""
+    a, b = 2 * i + 1, 2 * i + 2
+    images = [(j,) for j in range(1, pres.generator_count + 1)]
+    inverse_images = list(images)
+    images[b - 1], inverse_images[b - 1] = (b, a), (b, -a)
+    return Automorphism(pres, tuple(images), tuple(inverse_images), f"twist{i}")
+
+
+def _substituted(images, w):
+    return tuple(
+        y for x in w for y in (images[x - 1] if x > 0 else inverse_word(images[-x - 1]))
+    )
+
+
+def _two_way_check(pres, images, inverse_images):
+    """Acceptance by the check before one round trip sufficed: both maps
+    kill the relator, and each undoes the other on every generator."""
+    k = pres.generator_count
+    if len(images) != k or len(inverse_images) != k:
+        return False
+    return all(
+        is_identity(pres, _substituted(forth, pres.relator))
+        and all(
+            words_equal(pres, _substituted(back, forth[j - 1]), (j,))
+            for j in range(1, k + 1)
+        )
+        for forth, back in ((images, inverse_images), (inverse_images, images))
+    )
+
+
+def _corrupted_maps(rng, phi):
+    """Seeded corruptions of phi's images or inverse images: two entries
+    swapped, one lengthened (by the relator, the same element, by a letter
+    or by another entry), or one dropped (removed, or made trivial)."""
+    k = phi.pres.generator_count
+    for _ in range(12):
+        maps = {"images": list(phi.images), "inverse_images": list(phi.inverse_images)}
+        entries = maps[rng.choice(sorted(maps))]
+        i, j = rng.sample(range(k), 2)
+        kind = rng.choice(["swap", "relator", "letter", "product", "remove", "trivial"])
+        if kind == "swap":
+            entries[i], entries[j] = entries[j], entries[i]
+        elif kind == "relator":
+            entries[i] += phi.pres.relator
+        elif kind == "letter":
+            entries[i] += (rng.choice([1, -1]) * rng.randint(1, k),)
+        elif kind == "product":
+            entries[i] += entries[j]
+        elif kind == "remove":
+            del entries[i]
+        else:
+            entries[i] = ()
+        yield tuple(maps["images"]), tuple(maps["inverse_images"])
+
+
+def test_one_relator_check_and_one_round_trip_accept_what_the_two_way_check_accepts():
+    rng = random.Random(15)
+    verdicts = set()
+    for genus in (2, 3):
+        pres = SurfacePresentation(genus)
+        inputs = [
+            *builtin_test_automorphisms(pres),
+            *(_twist(pres, i) for i in range(genus)),
+        ]
+        for phi in inputs:
+            assert _two_way_check(pres, phi.images, phi.inverse_images)
+            for images, inverse_images in _corrupted_maps(rng, phi):
+                try:
+                    Automorphism(pres, images, inverse_images)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == _two_way_check(pres, images, inverse_images)
+                verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
+def test_an_automorphism_is_checked_by_one_relator_and_one_round_trip(pres2, monkeypatch):
+    calls = []
+    identity = chartower.is_identity
+
+    def counted(pres, w):
+        calls.append(w)
+        return identity(pres, w)
+
+    monkeypatch.setattr(chartower, "is_identity", counted)
+    handle_swap(pres2)
+    # The relator, then one round trip per generator.
+    assert len(calls) == 1 + 4
 
 
 def test_handle_swap_moves_the_first_handle(pres2):

@@ -11,6 +11,7 @@ from covertower import (
     build_char_tower,
     content_hash,
     full_subgroup,
+    handle_swap,
     homology_cover,
     identity_vaut,
     make_subgroup,
@@ -19,6 +20,7 @@ from covertower import (
     subgroup_from_doc,
     tower_doc,
     vaut_doc,
+    vaut_from_automorphism,
 )
 from covertower.cli import UsageError, main
 
@@ -157,6 +159,26 @@ def test_vaut_verbs(tmp_path, capsys, index_two_subgroups):
     )
     assert found["found"] is True
     assert found["index"] <= 2
+
+
+def test_vaut_mcl_search_past_the_index_cap_exits_three(tmp_path, capsys, index_two_subgroups):
+    pres = SurfacePresentation(2)
+    v = vaut_from_automorphism(handle_swap(pres), index_two_subgroups[0])
+    name = store_doc(tmp_path, vaut_doc(v)).name
+    cfg_path = tmp_path / "cap.json"
+    cfg_path.write_text(json.dumps({"max_result_index": 3}))
+    code, out, err = _run(
+        capsys, "--workspace", str(tmp_path), "--config", str(cfg_path),
+        "vaut", "mcl-search", name, "--depth", "2",
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "mcl search reached depth 0 of 2 at a candidate of index 2: "
+        "intersection of subgroups of index 2 and 2 has index a multiple of 2 "
+        "and at most 4, above index cap 3",
+    }
 
 
 # SHA-256 of the stdout, the stored cycle/1 file and the stored vaut/1 file
@@ -303,7 +325,7 @@ def test_orientation_reversing_matrix_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     "fields",
     [{"max_index": -3}, {"max_search_nodes": 0}, {"max_result_index": True},
-     {"max_hom_degree": 2.0}, {"max_solve_length": -1}],
+     {"max_index": 2.0}, {"max_result_index": "3"}],
 )
 def test_bad_config_caps_exit_six(tmp_path, capsys, fields):
     cfg_path = tmp_path / "bad.json"
@@ -317,11 +339,26 @@ def test_bad_config_caps_exit_six(tmp_path, capsys, fields):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+def test_a_config_that_sets_a_retired_field_exits_six(tmp_path, capsys):
+    # The witness-free inverse search and its length bound are gone; a
+    # config file that still sets the bound is refused, not ignored.
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"max_solve_length": 3}))
+    code, out, err = _run(
+        capsys, "--workspace", str(tmp_path), "--config", str(cfg_path),
+        "enumerate", "--genus", "2", "--max-index", "2",
+    )
+    assert code == 6
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "SchemaError",
+        "message": "bad config: unknown config fields: ['max_solve_length']",
+    }
+
+
 def test_config_caps_must_be_positive_integers():
-    assert RunConfig(max_solve_length=0).max_solve_length == 0
-    for name in ("max_index", "max_search_nodes", "max_result_index",
-                 "max_solve_length"):
-        for bad in (-1, False, 1.5, "3"):
+    for name in ("max_index", "max_search_nodes", "max_result_index"):
+        for bad in (0, -1, False, 1.5, "3"):
             with pytest.raises(ValueError):
                 RunConfig(**{name: bad})
 
@@ -521,12 +558,17 @@ _LEDGER_CHECK = ["ledger", "check", "--tower"]
                      id="vaut-image-letter"),
         pytest.param(_VAUT_INVERT, _forged_vaut, lambda d: d["inverseImages"][0].append(7),
                      id="vaut-witness-letter"),
+        pytest.param(_VAUT_INVERT, _forged_vaut, lambda d: d.pop("inverseImages"),
+                     id="vaut-no-witnesses"),
         pytest.param(_LEDGER_CHECK, _forged_tower,
                      lambda d: _node_certificate(d).update(kind="bogus"),
                      id="certificate-kind"),
         pytest.param(_LEDGER_CHECK, _forged_tower,
                      lambda d: _node_certificate(d).update(auts=[{"name": "x", "images": [[9]] * 4}]),
                      id="certificate-aut-letter"),
+        pytest.param(_LEDGER_CHECK, _forged_tower,
+                     lambda d: _node_certificate(d).update(auts=[{"name": "x", "images": [[1]] * 4}]),
+                     id="certificate-aut-no-inverse"),
         pytest.param(_LEDGER_CHECK, _forged_tower,
                      lambda d: _node_certificate(d).update(level=-3),
                      id="certificate-level"),

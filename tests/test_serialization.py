@@ -36,7 +36,6 @@ from covertower import (
     workspace_dir,
 )
 from covertower import io
-from covertower.vaut import VirtualAutomorphism
 
 
 @pytest.fixture(scope="module")
@@ -196,13 +195,10 @@ def test_vaut_round_trip(index_two_subgroups):
     validate_vaut(back)
     assert vaut_doc(back) == doc
 
-    stripped = VirtualAutomorphism(v.domain, v.codomain, v.images, None)
-    lean = vaut_doc(stripped)
-    assert "inverseImages" not in lean
-    lean_back = vaut_from_doc(lean)
-    assert lean_back.inverse_images is None
-    # Without witnesses, the validation is the span test.
-    validate_vaut(lean_back)
+    # A germ without inverse witnesses is refused at load.
+    lean = {key: value for key, value in doc.items() if key != "inverseImages"}
+    with pytest.raises(SchemaError, match="^missing key 'inverseImages'$"):
+        vaut_from_doc(lean)
 
 
 def test_cycle_round_trip(pres, index_two_subgroups):

@@ -9,13 +9,13 @@ import pytest
 from coset_oracles import bfs_canonical, inverse_rows, walk
 from covertower import (
     DEFAULT_CONFIG,
+    BudgetExceeded,
     CyclePath,
     GenericPresentation,
     IdentificationInvalid,
     IntersectionIndexOverflow,
     RunConfig,
     Subgroup,
-    NotInvertible,
     SurfacePresentation,
     TwoArrowCycle,
     VirtualAutomorphism,
@@ -48,7 +48,6 @@ from covertower import (
 )
 from covertower import chartower, cosets, vaut, words
 from covertower.cosets import _flatten_rows
-from covertower.vaut import _exponent_row_mod2
 
 
 @pytest.fixture(scope="module")
@@ -82,34 +81,6 @@ def test_tampered_images_rejected(h1):
         validate_vaut(broken)
 
 
-def test_dropped_generator_fails_generation(h1, monkeypatch):
-    # Each Schreier generator s goes to t^e(s), t the first of them and e(s)
-    # the sum of s's letters (j times the exponent sum of x_j), which the
-    # relator does not change.  That is a homomorphism of h1 onto the cyclic
-    # group of t: it lies in the codomain and kills every rewritten
-    # relator, and only the span certificate sees that it drops every other
-    # generator.
-    v = identity_vaut(h1)
-    t = v.images[0]
-
-    def power(w):
-        e = sum(w)
-        return (t if e > 0 else words.inverse_word(t)) * abs(e)
-
-    images = tuple(power(s) for s in schreier_generators(h1))
-    assert len(set(images)) > 2
-    broken = VirtualAutomorphism(v.domain, v.codomain, images, None)
-    with pytest.raises(IdentificationInvalid, match="not certified to generate"):
-        validate_vaut(broken)
-
-    def unreached(*args):
-        raise AssertionError("the germ was refused before the span")
-
-    monkeypatch.setattr(vaut, "_generation_certified", unreached)
-    with pytest.raises(AssertionError, match="before the span"):
-        validate_vaut(broken)
-
-
 def _swap_first_two(words):
     return (words[1], words[0], *words[2:])
 
@@ -124,7 +95,7 @@ def _free_group_germ():
 
 
 # One corruption of an identity germ per check of validate_vaut, in the
-# order the checks run.  Only a germ without witnesses reaches the span.
+# order the checks run.
 CORRUPTIONS = [
     pytest.param(
         lambda v, h2: _free_group_germ(),
@@ -175,14 +146,6 @@ CORRUPTIONS = [
         id="relator",
     ),
     pytest.param(
-        lambda v, h2: dataclasses.replace(
-            v, images=((),) * len(v.images), inverse_images=None
-        ),
-        IdentificationInvalid,
-        "images are not certified to generate the codomain",
-        id="generation",
-    ),
-    pytest.param(
         lambda v, h2: dataclasses.replace(v, inverse_images=v.inverse_images[:-1]),
         IdentificationInvalid,
         "one witness per codomain Schreier generator",
@@ -224,9 +187,9 @@ def test_each_validation_check_names_its_failure(h1, h2, corrupt, error, message
 
 
 def _reference_validate(v):
-    """Acceptance by the validator before one round trip sufficed: the span
-    test on every germ, then both round trips (v^-1(v(s)) = s as well as
-    v(w_t) = t) on a germ with witnesses."""
+    """Acceptance by the validator before one round trip sufficed: both
+    round trips, v^-1(v(s)) = s as well as v(w_t) = t.  (It also ran a
+    mod-2 span test, which the two round trips imply.)"""
     base, dom, cod = v.domain.pres, v.domain, v.codomain
     gens = schreier_generators(dom)
     if dom.pres != cod.pres or dom.index != cod.index or len(v.images) != len(gens):
@@ -237,10 +200,6 @@ def _reference_validate(v):
     for r in reidemeister_schreier(dom).relators:
         if not words_equal(base, words.substitute(v._pieces, r), ()):
             return False
-    if not vaut._generation_certified(reidemeister_schreier(cod), images):
-        return False
-    if v.inverse_images is None:
-        return True
     cogens = schreier_generators(cod)
     if len(v.inverse_images) != len(cogens):
         return False
@@ -259,17 +218,14 @@ def _reference_validate(v):
 def _corrupted(rng, v):
     """One or two seeded corruptions of v's images or witnesses that keep
     the counts: two entries swapped, one repeated, one lengthened by the
-    base relator (the same element) or by another entry, every image
-    trivial, or the witnesses stripped."""
+    base relator (the same element) or by another entry, or every image
+    trivial."""
     for _ in range(rng.randint(1, 2)):
-        kind = rng.choice(["swap", "repeat", "relator", "product", "trivial", "strip"])
-        if kind == "strip":
-            v = dataclasses.replace(v, inverse_images=None)
-            continue
+        kind = rng.choice(["swap", "repeat", "relator", "product", "trivial"])
         if kind == "trivial":
             v = dataclasses.replace(v, images=((),) * len(v.images))
             continue
-        field = rng.choice(["images", "inverse_images"][: 1 + (v.inverse_images is not None)])
+        field = rng.choice(["images", "inverse_images"])
         entries = list(getattr(v, field))
         i, j = rng.sample(range(len(entries)), 2)
         if kind == "swap":
@@ -308,25 +264,7 @@ def test_one_round_trip_accepts_what_the_span_and_both_round_trips_accept(
     for v in germs:
         verdicts.append(_accepted(v))
         assert verdicts[-1] == _reference_validate(v)
-    # Both verdicts occur with witnesses and without them.
-    seen = {(v.inverse_images is None, ok) for v, ok in zip(germs, verdicts)}
-    assert len(seen) == 4
-
-
-def test_germs_with_witnesses_never_reach_the_span_test(pres, h1, mod4_cover, monkeypatch):
-    a = vaut_from_automorphism(handle_swap(pres), mod4_cover)
-    b = vaut_from_automorphism(inner_automorphism(pres, (1, 4)), h1)
-    germs = [a, b, identity_vaut(h1), inverse(a), compose(a, inverse(a))]
-
-    def refuse(*args):
-        raise AssertionError("span test reached")
-
-    monkeypatch.setattr(vaut, "_generation_certified", refuse)
-    for v in germs:
-        validate_vaut(v)
-    stripped = dataclasses.replace(identity_vaut(h1), inverse_images=None)
-    with pytest.raises(AssertionError, match="span test reached"):
-        validate_vaut(stripped)
+    assert set(verdicts) == {True, False}
 
 
 def test_one_validation_rewrites_each_image_and_witness_once(pres, mod4_cover, monkeypatch):
@@ -376,6 +314,23 @@ def test_from_two_arrow_identity_fill(pres, h1, h2):
     # Distinct covers need explicit identification data.
     with pytest.raises(IdentificationInvalid):
         from_two_arrow(TwoArrowCycle(h1, h2))
+
+
+def test_from_two_arrow_needs_both_directions(pres, h1):
+    # One direction alone is refused before any validation, for the
+    # identity of one cover as for the handle swap between two.
+    v = vaut_from_automorphism(handle_swap(pres), h1)
+    gens = schreier_generators(h1)
+    for cycle in (
+        TwoArrowCycle(h1, h1, forward=gens),
+        TwoArrowCycle(h1, h1, backward=gens),
+        TwoArrowCycle(v.domain, v.codomain, forward=v.images),
+    ):
+        with pytest.raises(IdentificationInvalid) as refused:
+            from_two_arrow(cycle)
+        assert str(refused.value) == "forward and backward words must be given together"
+    both = from_two_arrow(TwoArrowCycle(v.domain, v.codomain, v.images, v.inverse_images))
+    assert germ_equals(both, v)
 
 
 def test_from_two_arrow_requires_matching_indices(pres, h1, h2):
@@ -548,19 +503,6 @@ def test_preimage_needs_one_image_per_domain_generator(h1, h2):
         preimage_subgroup(short, intersect(h1, h2))
 
 
-def test_exponent_row_mod2_is_parity_count():
-    rng = random.Random(31)
-    for _ in range(200):
-        m = rng.randint(1, 40)
-        w = [rng.choice((1, -1)) * rng.randint(1, m) for _ in range(rng.randint(0, 30))]
-        naive = sum(
-            1 << i
-            for i in range(m)
-            if sum(1 for x in w if abs(x) == i + 1) % 2
-        )
-        assert _exponent_row_mod2(w) == naive
-
-
 def test_compose_with_inverse_is_identity_germ(pres, h1):
     v = vaut_from_automorphism(handle_swap(pres), h1)
     w = inverse(v)
@@ -644,71 +586,6 @@ def test_compose_associativity(pres, h1):
     left = compose(compose(a, b), c)
     right = compose(a, compose(b, c))
     assert germ_equals(left, right)
-
-
-def test_inverse_without_witnesses(h1):
-    v = identity_vaut(h1)
-    stripped = VirtualAutomorphism(v.domain, v.codomain, v.images, None)
-    validate_vaut(stripped)
-    back = inverse(stripped)
-    assert germ_equals(back, identity_vaut(h1))
-
-
-def test_uninvertible_budget_raises(pres, h1):
-    from covertower import RunConfig
-
-    # Conjugated generators are not single Schreier generators of the
-    # twisted codomain, so a length-1 product search cannot solve them.
-    v = vaut_from_automorphism(inner_automorphism(pres, (1, 2)), h1)
-    stripped = VirtualAutomorphism(v.domain, v.codomain, v.images, None)
-    with pytest.raises(NotInvertible):
-        inverse(stripped, RunConfig(max_solve_length=1))
-
-
-def test_witness_free_inverse_counts_comparisons(pres, monkeypatch):
-    # 49 targets on the mod-2 cover: counting products, the budget allowed
-    # 200,000 products of 49 comparisons each, about 9.8 million.
-    v = identity_vaut(homology_cover(pres, 2).subgroup)
-    stripped = VirtualAutomorphism(v.domain, v.codomain, v.images, None)
-    assert len(schreier_generators(v.codomain)) == 49
-    calls = 0
-
-    def never_equal(*args):
-        nonlocal calls
-        calls += 1
-        return False
-
-    monkeypatch.setattr(vaut, "words_equal", never_equal)
-    with pytest.raises(NotInvertible) as refused:
-        inverse(stripped)
-    assert calls == 200_000
-    assert str(refused.value) == (
-        "bounded inverse search exhausted its budget: 200000 comparisons, "
-        "words up to length 2, 0 of 49 targets solved"
-    )
-    # 98 letters, each compared with the 49 targets.
-    calls = 0
-    with pytest.raises(NotInvertible) as refused:
-        inverse(stripped, RunConfig(max_solve_length=1))
-    assert calls == 98 * 49
-    assert str(refused.value) == (
-        "no inverse witness found within the length bound: 4802 comparisons, "
-        "words up to length 1, 0 of 49 targets solved"
-    )
-
-
-def test_witness_free_inverse_refusal_counts_what_it_solved(pres, h1):
-    # Conjugation by x4 restricted to h1: the 14 letters of a length-1
-    # search solve 4 of the 7 targets, and a solved target is compared no
-    # more, so 55 comparisons, not 14 * 7.
-    v = vaut_from_automorphism(inner_automorphism(pres, (4,)), h1)
-    stripped = VirtualAutomorphism(v.domain, v.codomain, v.images, None)
-    with pytest.raises(NotInvertible) as refused:
-        inverse(stripped, RunConfig(max_solve_length=1))
-    assert str(refused.value) == (
-        "no inverse witness found within the length bound: 55 comparisons, "
-        "words up to length 1, 4 of 7 targets solved"
-    )
 
 
 def test_germ_equality_on_smaller_overlap(pres, h1, h2):
@@ -854,6 +731,23 @@ def test_mcl_witness_and_search(pres, h1):
     assert found.index <= 4
 
 
+def test_mcl_search_past_the_index_cap_says_how_far_it_got(pres, h1):
+    # The swap moves h1, so the depth-1 candidate is h1 cut by its image,
+    # of index 4, past a cap of 3.  Depth 0 builds no intersection.
+    v = vaut_from_automorphism(handle_swap(pres), h1)
+    cfg = RunConfig(max_result_index=3)
+    assert bounded_mcl_search(v, 0, cfg) is None
+    with pytest.raises(BudgetExceeded) as refused:
+        bounded_mcl_search(v, 2, cfg)
+    assert refused.value.exit_code == 3
+    assert str(refused.value) == (
+        "mcl search reached depth 0 of 2 at a candidate of index 2: "
+        "intersection of subgroups of index 2 and 2 has index a multiple of 2 "
+        "and at most 4, above index cap 3"
+    )
+    assert bounded_mcl_search(v, 2, RunConfig(max_result_index=4)).index == 4
+
+
 def test_caut_witness(pres, h1, mod4_cover):
     v = vaut_from_automorphism(handle_swap(pres), h1)
     # Homology covers are characteristic, so the handle swap fixes each
@@ -885,17 +779,14 @@ def test_mcl_witness_refuses_a_subgroup_that_the_swap_moves(pres, h1, index_four
 
 
 def _reference_mcl_witness(v, candidate):
-    """The span-based rule: the images of the candidate's Schreier
-    generators lie in it and are certified to generate it."""
+    """v(candidate) = candidate, with v(candidate) built as the preimage
+    under the inverse germ: a flattening walk, not a membership walk."""
     if not is_subgroup_of(candidate, v.domain):
         return False
-    images = vaut._rewritten_members(candidate, list(vaut._images_on(v, candidate)))
-    return images is not None and vaut._generation_certified(
-        reidemeister_schreier(candidate), images
-    )
+    return preimage_subgroup(inverse(v), candidate) == candidate
 
 
-def test_mcl_witness_agrees_with_the_span_on_every_small_candidate(pres, h1, index_four_in_h1):
+def test_mcl_witness_agrees_with_the_image_on_every_small_candidate(pres, h1, index_four_in_h1):
     assert len(index_four_in_h1) == 64
     answers = set()
     for phi in (handle_swap(pres), inner_automorphism(pres, (4,)), inner_automorphism(pres, (1, 4))):
