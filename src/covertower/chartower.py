@@ -100,8 +100,8 @@ class Automorphism:
         return _PieceTable(self.images), _PieceTable(self.inverse_images)
 
 
-def apply_automorphism(phi: Automorphism, w: Iterable[int], inverse: bool = False) -> Word:
-    return substitute(phi._tables[inverse], w)
+def apply_automorphism(phi: Automorphism, w: Iterable[int]) -> Word:
+    return substitute(phi._tables[0], w)
 
 
 def check_automorphism(phi: Automorphism) -> None:

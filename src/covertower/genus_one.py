@@ -16,7 +16,10 @@ coordinate over one common denominator and reduces it once, and products
 are normalized with one gcd.  The public constructors and the
 ``mobius_from_*`` functions validate their input; matrices and points this
 module computes from validated values are built without validating them
-again.
+again.  A dense-orbit round from an exact source builds no matrix, no
+point and no ``Fraction``: its image is exactly the round's approximants,
+so its error is read off their integers, and only the accepted round
+builds its matrix; a float source is evaluated with ``act`` as before.
 
 A validated coordinate is a ``Fraction`` or a finite ``float``, so a point
 is exact iff neither coordinate is a float: exactness is read from the
@@ -308,12 +311,6 @@ def act(m: RationalMobius, tau: UpperHalfPoint) -> UpperHalfPoint:
     return _point(w.real, w.imag)
 
 
-def _distance_squared(p: UpperHalfPoint, q: UpperHalfPoint) -> Scalar:
-    if p.exact and q.exact:
-        return (p.real - q.real) ** 2 + (p.imag - q.imag) ** 2
-    return abs(p.as_complex() - q.as_complex()) ** 2
-
-
 def _approximants(x: Scalar) -> Iterator[tuple[int, int, bool]]:
     """``Fraction(x).limit_denominator(16**k)`` for k = 1, 2, ..., in turn.
 
@@ -366,11 +363,19 @@ def dense_orbit_approx(
     Each target coordinate is expanded into its continued fraction once
     (``_approximants``), so a new bound costs a few integer steps, and the
     approximations are exactly those of ``Fraction.limit_denominator``.
-    The squared error is compared with eps squared in integers, through
-    ``as_integer_ratio``, which decides the same exact float-vs-rational
-    question as ``err_sq < Fraction(eps) ** 2``.  Exact rational targets
-    are eventually hit exactly; a float target whose exact coordinates
-    still miss eps raises ``ValueError``.
+    From an exact source a round's image is exactly px + i*py, so its
+    error is read off the approximants' integers: a round builds no
+    matrix, no point and no ``Fraction``, and only the accepted round
+    builds its matrix.  Against an exact target the squared error is
+    compared with eps squared in integers; against a float target it is
+    the float distance from complex(px, py), which is the exact image
+    rounded as ``as_complex`` rounds it.  A float source is evaluated as
+    before: each round builds its matrix and takes the float image from
+    ``act``.  A float error is compared with eps squared in integers,
+    through ``as_integer_ratio``, which decides the same exact
+    float-vs-rational question as ``err_sq < Fraction(eps) ** 2``.  Exact
+    rational targets are eventually hit exactly; a float target whose
+    exact coordinates still miss eps raises ``ValueError``.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -378,33 +383,54 @@ def dense_orbit_approx(
         raise ValueError("eps must be finite")
     p0, q0 = source.real.as_integer_ratio()
     r0, s0 = source.imag.as_integer_ratio()
+    xa, xb = target.real.as_integer_ratio()
+    ya, yb = target.imag.as_integer_ratio()
     # Ratios in lowest terms: equal points, and no Fraction from a float.
-    if (p0, q0, r0, s0) == (
-        *target.real.as_integer_ratio(), *target.imag.as_integer_ratio()
-    ):
+    if (p0, q0, r0, s0) == (xa, xb, ya, yb):
         return identity_mobius()
     # to_i = [[1, -x0], [0, y0]] cleared to integers sends the source to i.
     t11, t12, t22 = q0 * s0, -p0 * s0, r0 * q0
+
+    def candidate(n2: int, d2: int, n1: int, d1: int) -> RationalMobius:
+        # [[n1/d1, n2/d2], [0, 1]] times to_i, over d1*d2.
+        return _mobius(
+            n1 * d2 * t11, n1 * d2 * t12 + n2 * d1 * t22, 0, d1 * d2 * t22
+        )
+
+    source_exact = source.exact
+    exact = source_exact and target.exact
+    if not exact:
+        z_target = target.as_complex()
     eps_n, eps_d = eps.as_integer_ratio()
     eps_n2, eps_d2 = eps_n * eps_n, eps_d * eps_d
     for (n2, d2, x_exact), (n1, d1, y_exact) in zip(
         _approximants(target.real), _approximants(target.imag)
     ):
-        if n1 > 0:
-            # [[n1/d1, n2/d2], [0, 1]] times to_i, over d1*d2.
-            candidate = _mobius(
-                n1 * d2 * t11, n1 * d2 * t12 + n2 * d1 * t22, 0, d1 * d2 * t22
-            )
-            image = act(candidate, source)
-            err_sq = _distance_squared(image, target)
+        if n1 <= 0:
+            continue
+        if exact:
+            # |n2/d2 - xa/xb|^2 + |n1/d1 - ya/yb|^2 over (d2*xb*d1*yb)^2.
+            u = (n2 * xb - xa * d2) * yb * d1
+            v = (n1 * yb - ya * d1) * xb * d2
+            w = d2 * xb * d1 * yb
+            below = (u * u + v * v) * eps_d2 < eps_n2 * w * w
+        else:
+            if source_exact:
+                z = complex(n2 / d2, n1 / d1)
+            else:
+                m = candidate(n2, d2, n1, d1)
+                z = act(m, source).as_complex()
+            err_sq = abs(z - z_target) ** 2
             # An infinite or nan float error is never below eps.
+            below = False
             if err_sq < inf:
                 n, d = err_sq.as_integer_ratio()
-                if n * eps_d2 < eps_n2 * d:
-                    return candidate
-            if x_exact and y_exact:
-                # Exact coordinates were reached, so only float roundoff
-                # remains; exact targets return above with error zero.
-                raise ValueError(
-                    "requested eps is below floating-point resolution"
-                )
+                below = n * eps_d2 < eps_n2 * d
+        if below:
+            return candidate(n2, d2, n1, d1) if source_exact else m
+        if x_exact and y_exact:
+            # Exact coordinates were reached, so only float roundoff
+            # remains; exact targets return above with error zero.
+            raise ValueError(
+                "requested eps is below floating-point resolution"
+            )

@@ -265,6 +265,34 @@ def test_genus1_verbs(tmp_path, capsys):
     assert orbit["errorSquared"] == {"num": 0, "den": 1}
 
 
+ORBIT_BYTES = {
+    None: (
+        b'{"errorSquared":{"den":14441444036100000000000000000000000000000000,'
+        b'"num":1084149598003507401601833837661},"matrix":[[{"den":1,"num":1193865},'
+        b'{"den":1,"num":537428}],[{"den":1,"num":0},{"den":1,"num":380019}]]}\n'
+    ),
+    "-7/3,5/2": (
+        b'{"errorSquared":{"den":14441444036100000000000000000000000000000000,'
+        b'"num":1084149598003507401601833837661},"matrix":[[{"den":1,"num":477546},'
+        b'{"den":1,"num":1651702}],[{"den":1,"num":0},{"den":1,"num":380019}]]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("source", list(ORBIT_BYTES))
+def test_genus1_orbit_bytes_on_a_decimal_target(tmp_path, capsys, source):
+    # The CLI parses points exactly, so the decimal digits of sqrt(2) and
+    # pi are a rational target that is not hit within eps; the bytes were
+    # recorded from the implementation that evaluated every round with act.
+    argv = ["--workspace", str(tmp_path), "genus1", "orbit"]
+    argv += ["--target", "1.4142135623730951+3.141592653589793i", "--eps", "1/1000000"]
+    if source is not None:
+        argv.append(f"--source={source}")
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == ORBIT_BYTES[source]
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--workspace", str(tmp_path), "no-such-verb"])

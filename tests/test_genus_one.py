@@ -4,7 +4,6 @@ import hashlib
 import math
 import pickle
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,7 @@ from covertower import (
     mobius_from_rational_matrix,
     vaut_as_matrix,
 )
+from covertower import genus_one
 from covertower.genus_one import _approximants
 
 
@@ -500,19 +500,44 @@ def test_exact_act_builds_one_fraction_per_coordinate(monkeypatch):
 
 
 def test_dense_orbit_fraction_count(monkeypatch):
-    # The Fraction-arithmetic construction built 140 and the
-    # limit_denominator one 52.  What is left is i_point's two coordinates
-    # and the two coordinates of the exact image in each of three rounds;
-    # the source == target test compares integer ratios.  From 3.12 on,
-    # Fraction arithmetic builds its results without __new__.
+    # The Fraction-arithmetic construction built 140, the limit_denominator
+    # one 52, and the one that evaluated each round with act 8 (two image
+    # coordinates in each of three rounds).  What is left is i_point's two
+    # coordinates: a round from an exact source reads its error off the
+    # approximants' integers, and the source == target test compares
+    # integer ratios.
     target = UpperHalfPoint(math.sqrt(2), math.pi)
     built = _fractions_built(
         monkeypatch, lambda: dense_orbit_approx(i_point(), target, 1e-6)
     )
-    if sys.version_info < (3, 12):
-        assert built == 8
-    else:
-        assert built <= 8
+    assert built == 2
+
+
+def test_dense_orbit_builds_only_the_accepted_matrix(monkeypatch):
+    # From an exact source no round is evaluated with act and only the
+    # accepted round builds its matrix; a float source builds and evaluates
+    # one matrix per round, as before.
+    calls = {"act": 0, "_mobius": 0}
+    for name in calls:
+        real = getattr(genus_one, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(genus_one, name, counting)
+    targets = (
+        UpperHalfPoint(math.sqrt(2), math.pi),
+        UpperHalfPoint(Fraction(-3533, 997), Fraction(7919, 101)),
+    )
+    for source in (i_point(), UpperHalfPoint(Fraction(-7, 3), Fraction(5, 2))):
+        for target in targets:
+            calls.update(act=0, _mobius=0)
+            dense_orbit_approx(source, target, 1e-6)
+            assert calls == {"act": 0, "_mobius": 1}
+    calls.update(act=0, _mobius=0)
+    dense_orbit_approx(UpperHalfPoint(-1.3, 0.7), targets[0], 1e-6)
+    assert calls["act"] == calls["_mobius"] == 3
 
 
 def _assert_walk_matches_limit_denominator(x):
@@ -602,6 +627,50 @@ def test_dense_orbit_matches_the_reference_at_eps_on_the_error():
                     source, target, eps, dense_orbit_approx
                 ) == _orbit_or_error(source, target, eps, _limit_denominator_orbit)
     assert cases > 200
+
+
+def _sqrt(q):
+    """The square root of q as a Fraction: exact when q is the square of a
+    rational, else rounded down to 40 digits."""
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    scale = 10**40
+    return Fraction(math.isqrt(n * d * scale * scale), d * scale)
+
+
+def test_dense_orbit_matches_the_reference_at_eps_on_the_exact_error():
+    # Exact sources and exact targets, where the error is compared in
+    # integers.  eps is put on the exact error of each round that misses
+    # the target and one part in 10^12 above and below it.  Each target is
+    # also taken with its real part replaced by its bound-16 approximant,
+    # so that the first round's error is rational and an eps equal to it is
+    # exactly on the strict comparison.
+    one_part = Fraction(1, 10**12)
+    cases = on_the_error = 0
+    for source, target in _orbit_cases():
+        if not (source.exact and target.exact):
+            continue
+        x, y = target.real, target.imag
+        for tx in (x, x.limit_denominator(16)):
+            target = UpperHalfPoint(tx, y)
+            bound = 16
+            while True:
+                px, py = tx.limit_denominator(bound), y.limit_denominator(bound)
+                err_sq = (px - tx) ** 2 + (py - y) ** 2
+                if err_sq == 0:
+                    break
+                err = _sqrt(err_sq)
+                on_the_error += err * err == err_sq
+                for eps in (err, err * (1 + one_part), err * (1 - one_part)):
+                    cases += 1
+                    assert _orbit_or_error(
+                        source, target, eps, dense_orbit_approx
+                    ) == _orbit_or_error(source, target, eps, _limit_denominator_orbit)
+                bound *= 16
+    assert cases > 900
+    assert on_the_error > 150
 
 
 def test_dense_orbit_needs_an_error_strictly_below_eps():

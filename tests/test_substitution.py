@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from coset_oracles import inverse_rows, schreier_edge_ids
 from covertower import (
+    Automorphism,
     SurfacePresentation,
     apply_automorphism,
     concat,
@@ -138,8 +139,9 @@ def test_images_along_the_tree_match_apply_automorphism(subgroups, data):
     assert _images_along_tree(sub, phi._tables[0]) == expected
     v = vaut_from_automorphism(phi, sub)
     assert v.images == expected
+    psi = Automorphism(PRES, phi.inverse_images, phi.images)
     assert v.inverse_images == tuple(
-        apply_automorphism(phi, t, inverse=True) for t in schreier_generators(v.codomain)
+        apply_automorphism(psi, t) for t in schreier_generators(v.codomain)
     )
 
 
